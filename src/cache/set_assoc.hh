@@ -3,11 +3,14 @@
  * Generic set-associative cache model with LRU replacement.
  *
  * Used for the data hierarchy (L1D/L2/L3), the MAC cache, the stealth
- * overflow buffer, the Merkle version cache, and (fully associative)
- * the shared last-level TLB.  The model tracks tags, dirty bits, and
- * hit/miss/writeback statistics -- no data payloads, which is all the
- * timing simulation needs.  Functional payloads live in the
- * protection-engine models that need them.
+ * overflow buffer, and the Merkle version cache.  Large fully
+ * associative structures (the shared last-level TLB and the stealth
+ * update write-combining buffer) use FullyAssocCache instead, which
+ * models SetAssocCache(1, N) without its O(N) scans.  The model
+ * tracks tags, dirty bits, and hit/miss/writeback statistics -- no
+ * data payloads, which is all the timing simulation needs.
+ * Functional payloads live in the protection-engine models that need
+ * them.
  *
  * The simulator spends about half its time probing these caches, so
  * the storage is one slab of 64-bit words, blocked per set: a set's

@@ -11,7 +11,7 @@
 #ifndef TOLEO_CACHE_TLB_HH
 #define TOLEO_CACHE_TLB_HH
 
-#include "cache/set_assoc.hh"
+#include "cache/fully_assoc.hh"
 #include "common/types.hh"
 
 namespace toleo {
@@ -26,8 +26,7 @@ class SharedTlb
      */
     explicit SharedTlb(unsigned entries = 256,
                        unsigned stealth_ext_bytes = 12)
-        : cache_(1, entries), extBytes_(stealth_ext_bytes),
-          entries_(entries)
+        : cache_(entries), extBytes_(stealth_ext_bytes)
     {}
 
     /** Look up a page; fills on miss (LRU). Returns hit. */
@@ -49,13 +48,12 @@ class SharedTlb
     std::uint64_t
     extensionBytes() const
     {
-        return static_cast<std::uint64_t>(extBytes_) * entries_;
+        return static_cast<std::uint64_t>(extBytes_) * cache_.entries();
     }
 
   private:
-    SetAssocCache cache_;
+    FullyAssocCache cache_;
     unsigned extBytes_;
-    unsigned entries_;
 };
 
 } // namespace toleo

@@ -1,14 +1,43 @@
 #include "toleo/stealth_cache.hh"
 
+#include "common/logging.hh"
+
 namespace toleo {
 
+namespace {
+
+/** Reject geometries the caches below cannot model faithfully. */
+const StealthCacheConfig &
+validated(const StealthCacheConfig &cfg)
+{
+    if (cfg.tlbEntries == 0)
+        fatal("StealthCache: tlbEntries must be positive");
+    if (cfg.updateCombineEntries == 0)
+        fatal("StealthCache: updateCombineEntries must be positive");
+    if (cfg.overflowBlockBytes == 0 || cfg.overflowAssoc == 0)
+        fatal("StealthCache: overflowBlockBytes and overflowAssoc must "
+              "be positive");
+    // A remainder would silently shrink the simulated buffer below
+    // the size sramBytes() reports.
+    const std::uint64_t way_bytes =
+        std::uint64_t{cfg.overflowBlockBytes} * cfg.overflowAssoc;
+    if (cfg.overflowBytes == 0 || cfg.overflowBytes % way_bytes != 0)
+        fatal("StealthCache: overflowBytes %llu is not a positive "
+              "multiple of overflowBlockBytes x overflowAssoc (%llu B)",
+              static_cast<unsigned long long>(cfg.overflowBytes),
+              static_cast<unsigned long long>(way_bytes));
+    return cfg;
+}
+
+} // namespace
+
 StealthCache::StealthCache(const StealthCacheConfig &cfg)
-    : cfg_(cfg),
-      tlb_(1, cfg.tlbEntries),
+    : cfg_(validated(cfg)),
+      tlb_(cfg.tlbEntries),
       overflow_(cfg.overflowBytes / cfg.overflowBlockBytes /
                     cfg.overflowAssoc,
                 cfg.overflowAssoc),
-      combine_(1, cfg.updateCombineEntries)
+      combine_(cfg.updateCombineEntries)
 {}
 
 std::uint64_t

@@ -13,12 +13,18 @@
 #ifndef TOLEO_TOLEO_STEALTH_CACHE_HH
 #define TOLEO_TOLEO_STEALTH_CACHE_HH
 
+#include "cache/fully_assoc.hh"
 #include "cache/set_assoc.hh"
 #include "common/types.hh"
 #include "toleo/version.hh"
 
 namespace toleo {
 
+/**
+ * Stealth-cache geometry.  StealthCache rejects (fatal) zero entry
+ * counts and an overflowBytes that is not a positive multiple of
+ * overflowBlockBytes x overflowAssoc.
+ */
 struct StealthCacheConfig
 {
     unsigned tlbEntries = 256;
@@ -88,13 +94,13 @@ class StealthCache
     StealthCacheConfig cfg_;
     /** Fully associative TLB extension, keyed by page number. */
     // toleo: state(shared)
-    SetAssocCache tlb_;
+    FullyAssocCache tlb_;
     /** Overflow buffer keyed by (page << 2) | 56B-chunk index. */
     // toleo: state(shared)
     SetAssocCache overflow_;
     /** Update write-combining buffer (page-granular, FIFO-LRU). */
     // toleo: state(shared)
-    SetAssocCache combine_;
+    FullyAssocCache combine_;
 
     // toleo: state(shared)
     std::uint64_t hits_ = 0;

@@ -58,19 +58,22 @@ TripStore::incStealth(std::uint32_t v) const
 TripStore::PageState &
 TripStore::page(PageNum pg)
 {
-    auto it = pages_.find(pg);
-    if (it != pages_.end())
-        return it->second;
-    PageState ps;
+    if (pages_.size() >= FlatIndex::npos)
+        fatal("TripStore: more than %u touched pages", FlatIndex::npos - 1);
+    const auto [slot, inserted] = index_.findOrInsert(
+        pg, static_cast<std::uint32_t>(pages_.size()));
+    if (!inserted)
+        return pages_[slot];
+    PageState &ps = pages_.emplace_back();
     ps.base = initialBase(pg);
-    return pages_.emplace(pg, std::move(ps)).first->second;
+    return ps;
 }
 
 const TripStore::PageState *
 TripStore::findPage(PageNum pg) const
 {
-    auto it = pages_.find(pg);
-    return it == pages_.end() ? nullptr : &it->second;
+    const std::uint32_t slot = index_.find(pg);
+    return slot == FlatIndex::npos ? nullptr : &pages_[slot];
 }
 
 std::uint32_t
@@ -234,7 +237,8 @@ TripStore::update(BlockNum blk)
     }
 
     res.fmtAfter = ps.fmt;
-    res.version = fullVersion(blk);
+    res.version =
+        composeVersion(ps.uv, stealthOf(ps, idx), cfg_.stealthBits);
     return res;
 }
 
@@ -278,10 +282,10 @@ TripStore::formatOf(PageNum page) const
 void
 TripStore::freePage(PageNum pg)
 {
-    auto it = pages_.find(pg);
-    if (it == pages_.end())
+    const std::uint32_t slot = index_.find(pg);
+    if (slot == FlatIndex::npos)
         return;
-    resetPage(it->second);
+    resetPage(pages_[slot]);
     ++frees_;
 }
 
@@ -296,7 +300,7 @@ TripStore::Breakdown
 TripStore::breakdown() const
 {
     Breakdown b;
-    for (const auto &[pg, ps] : pages_) {
+    for (const PageState &ps : pages_) {
         switch (ps.fmt) {
           case TripFormat::Flat: ++b.flat; break;
           case TripFormat::Uneven: ++b.uneven; break;

@@ -21,10 +21,12 @@
 #define TOLEO_TOLEO_TRIP_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 
+#include "common/flat_index.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "toleo/version.hh"
@@ -79,6 +81,8 @@ class TripStore
 
     /** Number of pages ever touched (drives flat-array accounting). */
     std::uint64_t touchedPages() const { return pages_.size(); }
+    /** Page-index table entries; grows by doubling (tests watch it). */
+    std::size_t indexCapacity() const { return index_.capacity(); }
     std::uint64_t unevenCount() const { return unevenCount_; }
     std::uint64_t fullCount() const { return fullCount_; }
 
@@ -145,7 +149,14 @@ class TripStore
     std::uint64_t uvMask_;
     std::uint32_t offsetMax_;
     mutable Rng rng_;
-    std::unordered_map<PageNum, PageState> pages_;
+    /**
+     * Touched pages in first-touch order.  A deque never relocates
+     * its elements on growth, so no PageState is ever copied; the
+     * flat index maps each page number to its position with one
+     * probe per lookup.
+     */
+    std::deque<PageState> pages_;
+    FlatIndex index_;
 
     std::uint64_t unevenCount_ = 0;
     std::uint64_t fullCount_ = 0;

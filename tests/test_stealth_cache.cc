@@ -172,3 +172,55 @@ TEST(StealthCache, InvalidatePageDropsCombineEntry)
     EXPECT_EQ(sc.updateHits(), 0u);
     EXPECT_EQ(sc.updateMisses(), 2u);
 }
+
+TEST(StealthCache, SweepGeometriesAreValid)
+{
+    // The defaults and every abl_stealth_cache_sweep point construct.
+    for (unsigned tlb : {32u, 64u, 128u, 256u, 512u}) {
+        StealthCacheConfig cfg;
+        cfg.tlbEntries = tlb;
+        StealthCache sc(cfg);
+        EXPECT_EQ(sc.sramBytes(), tlb * cfg.tlbExtBytes + 28 * KiB);
+    }
+    for (std::uint64_t ov : {7 * KiB, 28 * KiB, 56 * KiB}) {
+        StealthCacheConfig cfg;
+        cfg.overflowBytes = ov;
+        StealthCache sc(cfg);
+        EXPECT_EQ(sc.sramBytes(), 3 * KiB + ov);
+    }
+}
+
+TEST(StealthCache, RejectsTruncatingOverflowSize)
+{
+    // 28 KiB + 56 B is not a whole number of 16-way sets: the old
+    // model silently simulated 28 KiB while reporting the larger
+    // area.
+    StealthCacheConfig cfg;
+    cfg.overflowBytes = 28 * KiB + 56;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: overflowBytes 28728 is not a positive "
+                "multiple");
+    cfg.overflowBytes = 0;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: overflowBytes 0 is not a positive");
+    cfg = {};
+    cfg.overflowAssoc = 0;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: overflowBlockBytes and overflowAssoc");
+    cfg = {};
+    cfg.overflowBlockBytes = 0;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: overflowBlockBytes and overflowAssoc");
+}
+
+TEST(StealthCache, RejectsZeroEntryCounts)
+{
+    StealthCacheConfig cfg;
+    cfg.tlbEntries = 0;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: tlbEntries must be positive");
+    cfg = {};
+    cfg.updateCombineEntries = 0;
+    EXPECT_EXIT({ StealthCache sc(cfg); }, testing::ExitedWithCode(1),
+                "StealthCache: updateCombineEntries must be positive");
+}

@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "toleo/device.hh"
 #include "toleo/trip.hh"
 
 using namespace toleo;
@@ -375,4 +376,99 @@ TEST(Trip, DeterministicAcrossRuns)
         EXPECT_EQ(ra.version, rb.version);
         EXPECT_EQ(ra.fmtAfter, rb.fmtAfter);
     }
+}
+
+namespace {
+
+/** Everything observable about a set of written pages and blocks. */
+struct TripSnapshot
+{
+    std::vector<TripFormat> formats;
+    std::vector<std::uint64_t> versions;
+    std::uint64_t flat = 0, uneven = 0, full = 0;
+    std::uint64_t touched = 0;
+    std::uint64_t dynamic = 0;
+};
+
+TripSnapshot
+snapshotOf(const TripStore &t, const std::vector<PageNum> &pages,
+           const std::vector<BlockNum> &blocks)
+{
+    TripSnapshot s;
+    for (PageNum pg : pages)
+        s.formats.push_back(t.formatOf(pg));
+    for (BlockNum b : blocks)
+        s.versions.push_back(t.fullVersion(b));
+    const TripStore::Breakdown b = t.breakdown();
+    s.flat = b.flat;
+    s.uneven = b.uneven;
+    s.full = b.full;
+    s.touched = t.touchedPages();
+    s.dynamic = t.dynamicBytes();
+    return s;
+}
+
+} // namespace
+
+TEST(Trip, IndexGrowthPreservesEveryPage)
+{
+    // Page numbers that collide in the low bits (multiples of 1024)
+    // and pages in a second initiator's slice, with a mix of flat,
+    // uneven and full pages, inserted until the page index has
+    // doubled several times.  Each insert that grows the index must
+    // leave every earlier page exactly as it was.
+    TripStore t(noResetConfig());
+    std::vector<PageNum> pages;
+    std::vector<BlockNum> blocks;
+    unsigned growths = 0;
+    for (unsigned i = 0; i < 300; ++i) {
+        const PageNum pg =
+            (i / 2) * 1024 +
+            (i % 2 ? ToleoDevice::initiatorPageStride : 0);
+        const BlockNum first = blk(pg, i % blocksPerPage);
+
+        const std::size_t cap = t.indexCapacity();
+        const TripSnapshot before = snapshotOf(t, pages, blocks);
+        const auto res = t.update(first); // inserts pg
+        if (t.indexCapacity() != cap) {
+            ++growths;
+            const TripSnapshot after = snapshotOf(t, pages, blocks);
+            EXPECT_EQ(after.formats, before.formats) << "insert " << i;
+            EXPECT_EQ(after.versions, before.versions) << "insert " << i;
+            EXPECT_EQ(after.flat, before.flat + 1) << "insert " << i;
+            EXPECT_EQ(after.uneven, before.uneven) << "insert " << i;
+            EXPECT_EQ(after.full, before.full) << "insert " << i;
+            EXPECT_EQ(after.touched, before.touched + 1) << "insert " << i;
+            EXPECT_EQ(after.dynamic, before.dynamic) << "insert " << i;
+            // The new page itself is as in a store that saw only it.
+            TripStore fresh(noResetConfig());
+            EXPECT_EQ(res.version, fresh.update(first).version);
+            EXPECT_EQ(t.fullVersion(first), fresh.fullVersion(first));
+        }
+        pages.push_back(pg);
+        blocks.push_back(first);
+        if (i % 3 == 1) {
+            t.update(first); // second write: uneven
+        } else if (i % 7 == 2) {
+            for (int k = 0; k < 130; ++k) // stride past 2^7: full
+                t.update(first);
+        }
+    }
+    EXPECT_GE(growths, 3u);
+    EXPECT_GT(t.unevenCount(), 0u);
+    EXPECT_GT(t.fullCount(), 0u);
+
+    // Freeing a page that was never touched stays a no-op, even when
+    // its number shares low bits with resident pages.
+    const TripSnapshot before = snapshotOf(t, pages, blocks);
+    const std::size_t cap = t.indexCapacity();
+    t.freePage(999 * 1024);
+    t.freePage(999 * 1024 + ToleoDevice::initiatorPageStride);
+    const TripSnapshot after = snapshotOf(t, pages, blocks);
+    EXPECT_EQ(after.formats, before.formats);
+    EXPECT_EQ(after.versions, before.versions);
+    EXPECT_EQ(after.touched, before.touched);
+    EXPECT_EQ(after.dynamic, before.dynamic);
+    EXPECT_EQ(t.frees(), 0u);
+    EXPECT_EQ(t.indexCapacity(), cap);
 }
