@@ -5,7 +5,7 @@
  * Models the same cache as SetAssocCache(1, entries) -- identical
  * hit/miss results, evicted and written-back keys, and counters for
  * every call sequence -- without its per-probe scan over all ways
- * and per-fill argmin over LRU timestamps.  Each way sits on two
+ * and per-fill LRU victim search.  Each way sits on two
  * intrusive lists: a hash chain hung off a bucket array (at least
  * two buckets per way, so chains average under one way) and a doubly
  * linked recency list.  A hit is one chain walk plus a list splice;
@@ -14,8 +14,8 @@
  * Invalid ways always sit at the LRU end of the recency list (a fill
  * takes the tail and moves it to the front; invalidate moves the line
  * to the tail), so the tail is a free way whenever one exists and the
- * LRU valid line otherwise -- the same victim SetAssocCache's argmin
- * picks, up to way position, which no caller can observe.
+ * LRU valid line otherwise -- the same victim SetAssocCache picks, up
+ * to way position, which no caller can observe.
  *
  * Used where a large fully associative structure is probed on every
  * miss: the shared last-level TLB's stealth-version extension and the

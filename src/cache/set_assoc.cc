@@ -2,164 +2,137 @@
 
 #include <algorithm>
 
-#if TOLEO_SET_ASSOC_SIMD
-#include <immintrin.h>
-#endif
-
 namespace toleo {
 
-#if TOLEO_SET_ASSOC_SIMD
+namespace {
 
-__attribute__((target("avx2"))) unsigned
-SetAssocCache::scanWaysAvx2(const std::uint64_t *keys,
-                            const std::uint64_t *meta, unsigned assoc,
-                            std::uint64_t key)
+/** Named rejection of an associativity the rank bytes cannot hold;
+ *  runs before anything sizes or divides by it. */
+unsigned
+checkAssoc(unsigned assoc)
 {
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(key));
-    unsigned w = 0;
-    for (; w + 4 <= assoc; w += 4) {
-        // The slab is 8-byte aligned, not 32: unaligned loads, which
-        // cost nothing on cache-resident data on every AVX2 part.
-        const __m256i four = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys + w));
-        const __m256i eq = _mm256_cmpeq_epi64(four, needle);
-        std::uint32_t mask = static_cast<std::uint32_t>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-        // Matches are almost always unique (stale duplicates need an
-        // invalidated line), so this loop runs at most once in
-        // practice; lowest lane first preserves the scalar order.
-        while (mask != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(__builtin_ctz(mask));
-            if (meta[w + lane] & kValid)
-                return w + lane;
-            mask &= mask - 1;
-        }
-    }
-    for (; w < assoc; ++w) {
-        if (keys[w] == key && (meta[w] & kValid))
-            return w;
-    }
-    return wayNone;
+    if (assoc == 0)
+        panic("SetAssocCache: zero associativity");
+    if (assoc > SetAssocCache::kMaxAssoc)
+        panic("SetAssocCache: associativity %u exceeds %u", assoc,
+              SetAssocCache::kMaxAssoc);
+    return assoc;
 }
 
-#endif // TOLEO_SET_ASSOC_SIMD
+} // namespace
 
 SetAssocCache::SetAssocCache(std::uint64_t num_sets, unsigned assoc)
-    : numSets_(num_sets), assoc_(assoc), stride_(2 * assoc),
-      setMask_((num_sets & (num_sets - 1)) == 0 ? num_sets - 1 : 0),
-      slab_(num_sets * 2 * assoc, 0)
+    : numSets_(num_sets), assoc_(checkAssoc(assoc)),
+      lanes_(rowLanes(assoc)), metaWords_(3 * lanes_ / 8),
+      stride_(metaWords_ + assoc), setMask_(num_sets - 1),
+      pow2Sets_((num_sets & (num_sets - 1)) == 0),
+      // All-zero blocks are empty sets (see the file comment).  Filled
+      // here with a constant 0 the compiler turns into one memset.
+      slab_(num_sets * stride_, 0)
 {
-    if (num_sets == 0 || assoc == 0)
-        panic("SetAssocCache: zero sets or ways");
+    if (num_sets == 0)
+        panic("SetAssocCache: zero sets");
 }
 
 SetAssocCache
 SetAssocCache::fromCapacity(std::uint64_t bytes, std::uint64_t line_size,
                             unsigned assoc)
 {
+    if (line_size == 0)
+        panic("SetAssocCache: zero line size");
+    checkAssoc(assoc);
     if (bytes % (line_size * assoc) != 0)
         panic("SetAssocCache: capacity %llu not divisible by way size",
               static_cast<unsigned long long>(bytes));
     return SetAssocCache(bytes / (line_size * assoc), assoc);
 }
 
+void
+SetAssocCache::promote(std::size_t base, unsigned w, std::uint64_t key,
+                       bool dirty)
+{
+    std::uint8_t *ranks = rows(base) + lanes_;
+    std::uint8_t *flags = ranks + lanes_;
+    flags[w] |= dirty ? kDirty : 0;
+    if (const std::uint8_t r = ranks[w]; r != 0) {
+        ageBelow(ranks, lanes_, r);
+        ranks[w] = 0;
+    }
+    mruKey_ = key;
+    mruFlag_ = base * sizeof(std::uint64_t) + 2 * lanes_ + w;
+    mruValid_ = true;
+}
+
 CacheAccessResult
 SetAssocCache::accessFull(std::uint64_t key, bool is_write)
 {
-    ++useClock_;
-    const std::size_t base = setBase(key);
+    const std::uint64_t h = mixKey(key);
+    const std::size_t base = blockOf(h);
+    const std::uint8_t tag = tagOf(h);
+    CacheAccessResult res;
 
-    const unsigned w = findInSet(base, key);
-    if (w != wayNone) {
+    const unsigned hitWay = find(base, tag, key);
+    if (hitWay != wayNone) {
         ++hits_;
-        std::uint64_t &meta = slab_[base + assoc_ + w];
-        meta = (useClock_ << 2) | (meta & kDirty) |
-               (is_write ? kDirty : 0) | kValid;
-        moveToFront(base, w);
-        mruKey_ = key;
-        mruBase_ = base;
-        mruValid_ = true;
-        CacheAccessResult res;
+        promote(base, hitWay, key, is_write);
         res.hit = true;
         return res;
     }
-    return accessMiss(base, key, is_write);
-}
 
-bool
-SetAssocCache::touchFull(std::uint64_t key, bool mark_dirty)
-{
-    ++useClock_;
-    const std::size_t base = setBase(key);
-    const unsigned w = findInSet(base, key);
-    if (w != wayNone) {
-        ++hits_;
-        std::uint64_t &meta = slab_[base + assoc_ + w];
-        meta = (useClock_ << 2) | (meta & kDirty) |
-               (mark_dirty ? kDirty : 0) | kValid;
-        moveToFront(base, w);
-        mruKey_ = key;
-        mruBase_ = base;
-        mruValid_ = true;
-        return true;
-    }
     ++misses_;
-    return false;
-}
-
-CacheAccessResult
-SetAssocCache::accessMiss(std::size_t base, std::uint64_t key,
-                          bool is_write)
-{
-    CacheAccessResult res;
-    ++misses_;
-
-    // LRU victim = argmin over the metadata words.  An invalid
-    // line's word is 0, below every valid word, so this picks the
-    // first invalid way if any exists (matching the historical
-    // first-free scan) and the unique least-recently-used way
-    // otherwise (timestamps are unique by construction).
-    unsigned victim = 0;
-    std::uint64_t best = slab_[base + assoc_];
-    for (unsigned w = 1; w < assoc_; ++w) {
-        const std::uint64_t m = slab_[base + assoc_ + w];
-        if (m < best) {
-            best = m;
-            victim = w;
-        }
-    }
-
-    if (best & kValid) {
-        if (best & kDirty) {
+    std::uint8_t *tags = rows(base);
+    std::uint8_t *ranks = tags + lanes_;
+    std::uint8_t *flags = ranks + lanes_;
+    std::uint64_t *keys = &slab_[base + metaWords_];
+    const unsigned victim = pickVictim(ranks, flags, assoc_);
+    if (flags[victim] & kValid) {
+        if (flags[victim] & kDirty) {
             ++writebacks_;
-            res.writebackTag = slab_[base + victim];
+            res.writebackTag = keys[victim];
         } else {
-            res.evictedTag = slab_[base + victim];
+            res.evictedTag = keys[victim];
         }
     }
 
-    slab_[base + victim] = key;
-    slab_[base + assoc_ + victim] =
-        (useClock_ << 2) | (is_write ? kDirty : 0) | kValid;
-    moveToFront(base, victim);
+    keys[victim] = key;
+    tags[victim] = tag;
+    flags[victim] = is_write ? kValid | kDirty : kValid;
+    ageBelow(ranks, lanes_, static_cast<std::uint8_t>(assoc_ - 1));
+    ranks[victim] = 0;
     mruKey_ = key;
-    mruBase_ = base;
+    mruFlag_ = base * sizeof(std::uint64_t) + 2 * lanes_ + victim;
     mruValid_ = true;
     return res;
 }
 
 bool
+SetAssocCache::touchFull(std::uint64_t key, bool mark_dirty)
+{
+    const std::uint64_t h = mixKey(key);
+    const std::size_t base = blockOf(h);
+    const unsigned w = find(base, tagOf(h), key);
+    if (w == wayNone) {
+        ++misses_;
+        return false;
+    }
+    ++hits_;
+    promote(base, w, key, mark_dirty);
+    return true;
+}
+
+bool
 SetAssocCache::invalidate(std::uint64_t key)
 {
-    const std::size_t base = setBase(key);
-    const unsigned w = findInSet(base, key);
+    const std::uint64_t h = mixKey(key);
+    const std::size_t base = blockOf(h);
+    const unsigned w = find(base, tagOf(h), key);
     if (w == wayNone)
         return false;
-    std::uint64_t &meta = slab_[base + assoc_ + w];
-    const bool was_dirty = (meta & kDirty) != 0;
-    meta = 0;
+    std::uint8_t *ranks = rows(base) + lanes_;
+    std::uint8_t *flags = ranks + lanes_;
+    const bool was_dirty = (flags[w] & kDirty) != 0;
+    flags[w] = 0;
+    ageAbove(ranks, lanes_, ranks[w]);
     if (mruValid_ && key == mruKey_)
         mruValid_ = false;
     return was_dirty;
@@ -168,10 +141,7 @@ SetAssocCache::invalidate(std::uint64_t key)
 void
 SetAssocCache::invalidateAll()
 {
-    for (std::uint64_t s = 0; s < numSets_; ++s) {
-        const std::size_t meta = s * stride_ + assoc_;
-        std::fill_n(slab_.begin() + meta, assoc_, std::uint64_t{0});
-    }
+    std::fill(slab_.begin(), slab_.end(), std::uint64_t{0});
     mruValid_ = false;
 }
 

@@ -26,6 +26,36 @@ TEST(SetAssocCache, FromCapacityGeometry)
     EXPECT_EQ(c.assoc(), 8u);
 }
 
+TEST(SetAssocCache, FromCapacityRejectsZeroLineSize)
+{
+    EXPECT_DEATH(SetAssocCache::fromCapacity(32 * KiB, 0, 8),
+                 "SetAssocCache: zero line size");
+}
+
+TEST(SetAssocCache, FromCapacityRejectsZeroAssociativity)
+{
+    EXPECT_DEATH(SetAssocCache::fromCapacity(32 * KiB, 64, 0),
+                 "SetAssocCache: zero associativity");
+}
+
+TEST(SetAssocCache, RejectsZeroSetsOrWays)
+{
+    EXPECT_DEATH(SetAssocCache(0, 8), "SetAssocCache: zero sets");
+    EXPECT_DEATH(SetAssocCache::fromCapacity(0, 64, 8),
+                 "SetAssocCache: zero sets");
+    EXPECT_DEATH(SetAssocCache(4, 0), "SetAssocCache: zero associativity");
+}
+
+TEST(SetAssocCache, RejectsAssociativityAboveMax)
+{
+    EXPECT_DEATH(SetAssocCache::fromCapacity(64 * 257, 64, 257),
+                 "SetAssocCache: associativity 257 exceeds 256");
+    EXPECT_DEATH(SetAssocCache(1, 257),
+                 "SetAssocCache: associativity 257 exceeds 256");
+    // The largest supported geometry still builds.
+    EXPECT_EQ(SetAssocCache(1, 256).assoc(), 256u);
+}
+
 TEST(SetAssocCache, LruEvictsOldest)
 {
     // Fully associative, 2 ways: the LRU key must be the victim.
@@ -145,3 +175,4 @@ TEST(SharedTlb, FullyAssociativeLru)
     EXPECT_TRUE(tlb.contains(1));
     EXPECT_FALSE(tlb.contains(2));
 }
+

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +45,13 @@ struct GridShard
     std::string grid;
     std::string workload;
 };
+
+/** ctest names carry GetParam(); keep them readable and stable. */
+void
+PrintTo(const GridShard &shard, std::ostream *os)
+{
+    *os << shard.grid << "/" << shard.workload;
+}
 
 std::vector<GridShard>
 allShards()
