@@ -1,23 +1,24 @@
 /**
  * @file
- * Persistent intra-System worker pool.
+ * Persistent rack node pool (--rack-threads).
  *
- * The private phase of System::stepRounds runs every core's
- * generator draws and L1/L2 accesses over structures that are
- * disjoint per core, so the per-core bodies can run on worker
- * threads without any observable reordering: the shared phase (L3,
- * topology, protection engine) still replays the exact global order
- * single-threaded afterwards.  This pool is the sanctioned home for
- * those threads (tools/toleo_lint bans raw std::thread elsewhere --
- * new parallelism must go through a pool that preserves the
+ * runRack (sim/rack.cc) steps each rack node's private epoch half
+ * (System::stepEpochPrivate: generator draws, L1/L2, event staging)
+ * over state owned by that node alone, so the per-node bodies can
+ * run on worker threads without any observable reordering: every
+ * node's shared replay (L3, topology, protection engine, the shared
+ * Toleo device) still runs single-threaded in node order afterwards.
+ * This pool is the sanctioned home for those threads
+ * (tools/toleo_lint bans raw std::thread elsewhere -- new
+ * parallelism must go through a pool that preserves the
  * deterministic-replay structure).
  *
  * Design constraints, in order:
  *  - determinism: work assignment is a pure function of (index,
  *    thread count); nothing about scheduling can leak into results
  *    because the per-index bodies share no mutable state;
- *  - cheap dispatch: one batch of the private phase is only a few
- *    thousand references, so a dispatch is one mutex round-trip and
+ *  - cheap dispatch: one epoch half is only a few thousand
+ *    references per node, so a dispatch is one mutex round-trip and
  *    one condition-variable wake, with the threads kept alive across
  *    the whole run (no spawn/join per batch);
  *  - clean teardown under exceptions: a throwing body is captured

@@ -23,7 +23,6 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts,
     cfg.trace = opts.trace;
     cfg.tracePath = opts.tracePath;
     cfg.recordTracePath = opts.recordTracePath;
-    cfg.intraThreads = opts.intraThreads;
     cfg.arrival = opts.arrival;
     cfg.phaseTimers = phases != nullptr;
     System sys(cfg);
@@ -191,12 +190,6 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
     base.seed = opts.seed;
     base.trace = opts.trace;
     base.tracePath = opts.tracePath;
-    // makeRackConfig clones the base config per node, so every
-    // node's private phase gets the same intra-cell pool size; the
-    // nodes' shared-device work still replays serially in node order
-    // even when rackThreads overlaps their private halves
-    // (determinism).
-    base.intraThreads = opts.intraThreads;
     base.arrival = opts.arrival;
     RackConfig rc = makeRackConfig(opts.rackNodes, base);
     rc.deviceServiceGBps = opts.rackServiceGBps;

@@ -40,15 +40,6 @@ struct SweepOptions
     std::uint64_t seed = 42;
     /** Worker threads; cells run serially when 1. */
     unsigned jobs = 1;
-    /**
-     * Private-phase threads *inside* each cell's System(s)
-     * (SystemConfig::intraThreads).  Composes multiplicatively with
-     * jobs: a sweep can run up to jobs x intraThreads threads at
-     * once, so callers should budget the product against the host
-     * (the toleo_sim CLI enforces this).  Statistics are
-     * bit-identical for any value.
-     */
-    unsigned intraThreads = 1;
     /** Replay cells from this trace file instead of synthesizing. */
     std::string tracePath;
     /**
@@ -69,11 +60,12 @@ struct SweepOptions
     double rackServiceGBps = 0.0;
     /**
      * Rack mode only: worker threads for the node-private epoch
-     * halves inside each rack cell (RackConfig::rackThreads).  A
-     * third multiplicative tier between jobs and intraThreads: a rack
-     * sweep can run up to jobs x rackThreads x intraThreads threads
-     * at once, and the CLI budgets that product against the host.
-     * Statistics are bit-identical for any value.
+     * halves inside each rack cell (RackConfig::rackThreads).
+     * Composes multiplicatively with jobs: a rack sweep can run up
+     * to jobs x rackThreads threads at once, and the CLI budgets
+     * that product against the host.  Statistics are bit-identical
+     * for any value; the nodes' shared-device work still replays
+     * serially in node order.
      */
     unsigned rackThreads = 1;
     /**

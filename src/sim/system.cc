@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "secmem/noprotect.hh"
-#include "sim/intra_pool.hh"
 #include "workload/trace_file.hh"
 
 namespace toleo {
@@ -177,19 +176,6 @@ System::System(const SystemConfig &cfg)
     evBuf_.resize(refBuf_.size());
     evCount_.assign(cfg.numCores, 0);
     evPos_.assign(cfg.numCores, 0);
-
-    // Private-phase worker pool.  More threads than cores can never
-    // help (the unit of work is one core's batch), and intraThreads
-    // == 1 keeps the historical single-threaded path with no pool,
-    // no staging, and no synchronization at all.
-    const unsigned intra =
-        std::min(std::max(cfg.intraThreads, 1u), cfg.numCores);
-    if (intra > 1) {
-        intraPool_ = std::make_unique<IntraPool>(intra);
-        footprintStage_.resize(cfg.numCores);
-        for (auto &stage : footprintStage_)
-            stage.reserve(batchRounds);
-    }
 }
 
 System::~System() = default;
@@ -257,8 +243,6 @@ System::privateCore(unsigned core, std::uint64_t rounds)
     MemRef *refs = &refBuf_[core * batchRounds];
     SharedEvent *evs = &evBuf_[core * batchRounds];
     gens_[core]->nextBatch(refs, rounds);
-    std::vector<PageNum> *stage =
-        intraPool_ ? &footprintStage_[core] : nullptr;
     std::uint32_t nev = 0;
     std::uint64_t insts = 0;
     for (std::uint64_t k = 0; k < rounds; ++k) {
@@ -273,20 +257,13 @@ System::privateCore(unsigned core, std::uint64_t rounds)
         // RSS tracking off the L1-hit path: a page's very first
         // reference always misses L1 (an untouched block cannot be
         // resident), so recording pages on L1 misses only yields the
-        // same footprint set.  Under the pool the insert is staged
-        // per core -- footprint_ is the single structure the private
-        // phase would otherwise share -- and merged by stepRounds.
+        // same footprint set.
         if (!priv.l1Hit) {
+            // Node-local serialization: footprint_ belongs to this
+            // System alone and the rack pool runs one thread per
+            // System, so the insert cannot race across nodes.
             const PageNum page = pageOf(ref.addr);
-            if (stage)
-                stage->push_back(page);
-            else
-                // Justified shared touch: this branch only runs when
-                // intraPool_ is null, i.e. the private phase is
-                // single-threaded, so the direct insert cannot race.
-                // The pooled path stages per core (above) and merges
-                // in stepRounds.
-                footprint_.insert(page); // toleo-lint: allow(phase-safety)
+            footprint_.insert(page); // toleo-lint: allow(phase-safety)
         }
         if (priv.needsShared()) {
             evs[nev].round = static_cast<std::uint32_t>(k);
@@ -301,8 +278,7 @@ System::privateCore(unsigned core, std::uint64_t rounds)
         // absolute retired-instruction count at completion) for the
         // shared phase to time-stamp.  A post-loop pass over the
         // already-drawn refs keeps the hot loop above untouched; the
-        // state is all core-local, so the intra pool needs no
-        // synchronization.
+        // state is all core-local.
         auto &sv = servCores_[core];
         sv.boundaries.clear();
         sv.pos = 0;
@@ -332,26 +308,9 @@ System::stepRounds(std::uint64_t rounds, bool measuring)
 
         // Private phase: generator draws and each core's own L1/L2.
         // Per-generator draw order and per-cache operation sequences
-        // are exactly those of the old one-reference-at-a-time loop;
-        // the cores' structures are mutually disjoint, so running
-        // them concurrently (static striping, pure function of core
-        // id and thread count) cannot reorder anything observable.
-        if (intraPool_) {
-            intraPool_->run(cores,
-                            [this, n](unsigned c) { privateCore(c, n); });
-            // Merge the staged footprint inserts serially, in core
-            // order.  The footprint is a set and its final contents
-            // are all that is ever read (size()), so the merge is
-            // bit-identical to inline insertion for any thread count.
-            for (unsigned c = 0; c < cores; ++c) {
-                for (PageNum page : footprintStage_[c])
-                    footprint_.insert(page);
-                footprintStage_[c].clear();
-            }
-        } else {
-            for (unsigned c = 0; c < cores; ++c)
-                privateCore(c, n);
-        }
+        // are exactly those of the old one-reference-at-a-time loop.
+        for (unsigned c = 0; c < cores; ++c)
+            privateCore(c, n);
 
         const double t1 = benchNowNs(timing);
 
@@ -399,24 +358,8 @@ System::stageRounds(std::uint64_t rounds, bool measuring)
 
         // Same private phase as stepRounds: draws, L1/L2, per-core
         // event queues, footprint and serving-boundary staging.
-        if (intraPool_) {
-            intraPool_->run(cores,
-                            [this, n](unsigned c) { privateCore(c, n); });
-            for (unsigned c = 0; c < cores; ++c) {
-                for (PageNum page : footprintStage_[c])
-                    // Node-local serialization: footprint_ belongs to
-                    // this System alone and the rack pool runs one
-                    // thread per System, so this merge -- like the
-                    // direct insert in privateCore -- cannot race
-                    // across nodes; it is the same merge stepRounds
-                    // performs, at the same point in the batch.
-                    footprint_.insert(page); // toleo-lint: allow(phase-safety)
-                footprintStage_[c].clear();
-            }
-        } else {
-            for (unsigned c = 0; c < cores; ++c)
-                privateCore(c, n);
-        }
+        for (unsigned c = 0; c < cores; ++c)
+            privateCore(c, n);
 
         // Flatten this batch's per-core queues into the staged epoch
         // log -- the identical (round, core) n-way merge stepRounds

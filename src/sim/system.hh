@@ -41,7 +41,6 @@
 
 namespace toleo {
 
-class IntraPool;
 class TraceFile;
 class TraceWriter;
 
@@ -102,16 +101,6 @@ struct SystemConfig
     std::shared_ptr<const TraceFile> trace;
     /** Record every core's generated stream to this trace file. */
     std::string recordTracePath;
-    /**
-     * Worker threads for the core-private phase of stepRounds (the
-     * calling thread counts, so 1 = today's single-threaded run).
-     * Any value produces bit-identical statistics: the per-core
-     * private bodies touch disjoint state, and the shared phase
-     * replays the exact global order single-threaded either way.
-     * Clamped to numCores; composes with cross-cell sweep jobs (the
-     * drivers budget jobs x intraThreads against the host).
-     */
-    unsigned intraThreads = 1;
     /**
      * Accumulate the per-phase wall-time breakdown (phaseTimes()).
      * Off by default: the clock calls are pure measurement overhead,
@@ -440,23 +429,6 @@ class System
     /** Rounds of references buffered per core in one sub-batch. */
     static constexpr std::uint64_t batchRounds = 256;
 
-    /**
-     * Worker pool for the private phase; null when cfg_.intraThreads
-     * (clamped to numCores) is 1, keeping the single-threaded path
-     * free of any synchronization.
-     */
-    std::unique_ptr<IntraPool> intraPool_;
-    /**
-     * Per-core staging for footprint_ inserts: the one shared touch
-     * in the private loop.  Each core appends its pages here (its own
-     * vector, no sharing), and stepRounds merges them into footprint_
-     * serially in core order -- set insertion is order-insensitive,
-     * so the merged footprint is identical to the historical inline
-     * inserts for any thread count.
-     */
-    // toleo: state(per-core)
-    std::vector<std::vector<PageNum>> footprintStage_;
-
     /** Phase wall-time accumulators (cfg_.phaseTimers only). */
     PhaseTimes phases_;
 
@@ -620,8 +592,7 @@ class System
     /**
      * Core-private body of one stepRounds sub-batch for one core:
      * generator draw, L1/L2 accesses, shared-event queueing, and
-     * footprint staging.  Touches only core-indexed state, so
-     * stepRounds may run it for different cores concurrently.
+     * footprint inserts.
      */
     // toleo: phase(private)
     void privateCore(unsigned core, std::uint64_t rounds);

@@ -214,63 +214,6 @@ TEST(SweepTiming, CellSecondsReported)
 
 namespace {
 
-/** tinyWindow with enough cores that an 8-thread intra-cell pool is
- *  not clamped down to the core count. */
-SweepOptions
-intraWindow(unsigned jobs, unsigned intra)
-{
-    SweepOptions opts = tinyWindow(jobs);
-    opts.cores = 8;
-    opts.intraThreads = intra;
-    return opts;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// Intra-cell (private-phase) threading: SystemConfig::intraThreads
-// runs each core's generator draws and L1/L2 accesses on a worker
-// pool, with the shared phase replaying the exact global order.  The
-// contract is the same as for --jobs: not observable in the stats.
-// ---------------------------------------------------------------------
-
-TEST(IntraThreadDeterminism, SameSeedSameBytesAcrossThreadCounts)
-{
-    const auto cells = smallGrid();
-    const auto one = dumpAll(runSweep(cells, intraWindow(1, 1)));
-    const auto two = dumpAll(runSweep(cells, intraWindow(1, 2)));
-    const auto eight = dumpAll(runSweep(cells, intraWindow(1, 8)));
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
-}
-
-TEST(IntraThreadDeterminism, ComposesWithCrossCellJobs)
-{
-    // jobs x intraThreads: every cell gets its own pool while the
-    // cells themselves run on the cross-cell pool.
-    const auto cells = smallGrid();
-    const auto serial = dumpAll(runSweep(cells, intraWindow(1, 1)));
-    const auto composed = dumpAll(runSweep(cells, intraWindow(4, 2)));
-    EXPECT_EQ(serial, composed);
-}
-
-TEST(IntraThreadDeterminism, RackNodesSameBytesAcrossThreadCounts)
-{
-    const auto cells = rackGrid();
-    SweepOptions w1 = rackWindow(1);
-    SweepOptions w2 = rackWindow(1);
-    w2.intraThreads = 2;
-    SweepOptions w8 = rackWindow(1);
-    w8.intraThreads = 8; // clamped to the per-node core count
-    const auto one = dumpAllRacks(runRackSweep(cells, w1));
-    const auto two = dumpAllRacks(runRackSweep(cells, w2));
-    const auto eight = dumpAllRacks(runRackSweep(cells, w8));
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
-}
-
-namespace {
-
 /** An open-loop grid: request-shaped apps plus a classic mix
  *  workload, all under a Poisson arrival process. */
 std::vector<SweepCell>
@@ -281,14 +224,13 @@ openGrid()
 }
 
 SweepOptions
-openWindow(unsigned jobs, unsigned intra = 1)
+openWindow(unsigned jobs)
 {
     SweepOptions opts;
     opts.cores = 8;
     opts.warmupRefs = 1000;
     opts.measureRefs = 3000;
     opts.jobs = jobs;
-    opts.intraThreads = intra;
     opts.arrival.kind = ArrivalKind::Poisson;
     opts.arrival.ratePerSec = 2e6;
     return opts;
@@ -300,7 +242,7 @@ openWindow(unsigned jobs, unsigned intra = 1)
 // Open-loop serving: the arrival overlay (per-request latency, SLO
 // attainment, the latency histogram) obeys the exact same determinism
 // contract as the rest of the stats -- fixed seed => byte-identical
-// serving block across runs, worker counts, and intra-cell pools.
+// serving block across runs, worker counts, and rack node pools.
 // ---------------------------------------------------------------------
 
 TEST(ServingDeterminism, SameSeedSameBytesAcrossRuns)
@@ -324,27 +266,20 @@ TEST(ServingDeterminism, SameSeedSameBytesAcrossJobCounts)
               dumpAll(runSweep(cells, openWindow(4))));
 }
 
-TEST(ServingDeterminism, SameSeedSameBytesAcrossIntraThreadCounts)
-{
-    // Request boundaries are staged in the parallel private phase but
-    // finalized in deterministic shared-phase round order, so the
-    // intra-cell pool size must be invisible here too.
-    const auto cells = openGrid();
-    EXPECT_EQ(dumpAll(runSweep(cells, openWindow(1, 1))),
-              dumpAll(runSweep(cells, openWindow(1, 8))));
-}
-
 TEST(ServingDeterminism, RackSameBytesAcrossRunsAndThreads)
 {
     const auto cells =
         makeSweepGrid({"kvs"}, {EngineKind::Toleo});
     SweepOptions w = openWindow(1);
     w.rackNodes = 2;
-    SweepOptions w8 = openWindow(1, 8);
-    w8.rackNodes = 2;
+    // Request boundaries are staged in the parallel private phase but
+    // finalized in deterministic shared-phase round order, so the
+    // rack node pool must be invisible here too.
+    SweepOptions wt = w;
+    wt.rackThreads = 2;
     const auto a = dumpAllRacks(runRackSweep(cells, w));
     const auto b = dumpAllRacks(runRackSweep(cells, w));
-    const auto c = dumpAllRacks(runRackSweep(cells, w8));
+    const auto c = dumpAllRacks(runRackSweep(cells, wt));
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
     ASSERT_EQ(a.size(), 1u);

@@ -236,11 +236,10 @@ TEST(Rack, RackThreadsAreBitIdentical)
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2));
 }
 
-TEST(Rack, RackThreadsComposeWithIntraThreadsAndServing)
+TEST(Rack, RackThreadsComposeWithServing)
 {
-    // All three tiers at once -- rack workers outside, per-node intra
-    // pools inside, plus the open-loop overlay whose staged request
-    // boundaries ride the private phase -- must still reproduce the
+    // Rack workers plus the open-loop overlay, whose staged request
+    // boundaries ride the private phase, must still reproduce the
     // serial record byte-for-byte.
     SweepOptions opts = rackWindow(3);
     std::string err;
@@ -248,7 +247,6 @@ TEST(Rack, RackThreadsComposeWithIntraThreadsAndServing)
     const std::string serial =
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2);
     opts.rackThreads = 3;
-    opts.intraThreads = 2;
     EXPECT_EQ(
         serial,
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2));

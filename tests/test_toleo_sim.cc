@@ -288,6 +288,21 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
         std::string("\"") + TOLEO_SIM_BIN +
         "\" --engines Bogus --quiet > /dev/null 2>&1";
     EXPECT_NE(std::system(bad.c_str()), 0);
+
+    // Counts above UINT_MAX must fail by name, not wrap when
+    // narrowed to unsigned (2^32 + 2 cores would simulate 2).
+    const auto fails = [](const std::string &args) {
+        const std::string cmd = std::string("\"") + TOLEO_SIM_BIN +
+                                "\" " + args +
+                                " --quiet > /dev/null 2>&1";
+        return std::system(cmd.c_str()) != 0;
+    };
+    EXPECT_TRUE(fails("--workloads bsw --engines Toleo"
+                      " --cores 4294967298 --warmup 500"
+                      " --measure 2000"));
+    EXPECT_TRUE(fails("--workloads bsw --engines Toleo --cores 2"
+                      " --rack 4294967298 --warmup 500"
+                      " --measure 2000"));
 }
 
 TEST(ToleoSimBinary, OpenLoopServingCell)
@@ -371,13 +386,9 @@ TEST(ToleoSimBinary, RackThreadsGuardsAndBitIdentity)
                       " --engines Toleo"));
     EXPECT_TRUE(fails("--rack 1 --rack-threads 2 --workloads bsw"
                       " --engines Toleo"));
-    // The oversubscription guard covers the three-way product (an
-    // explicit --jobs x --rack-threads x --threads-per-cell budget
-    // no host satisfies).
+    // The oversubscription guard covers the product (an explicit
+    // --jobs x --rack-threads budget no host satisfies).
     EXPECT_TRUE(fails("--rack 2 --rack-threads 1000 --jobs 1000"
-                      " --workloads bsw --engines Toleo"));
-    EXPECT_TRUE(fails("--rack 2 --rack-threads 500"
-                      " --threads-per-cell 500 --jobs 1000"
                       " --workloads bsw --engines Toleo"));
 
     // A threaded rack cell emits byte-identical *results* to the
@@ -495,6 +506,35 @@ TEST(ToleoSimBinary, BenchModeEmitsPerfRecord)
     ASSERT_TRUE(err.empty()) << err;
     ASSERT_TRUE(doc3.has("previous"));
     EXPECT_FALSE(doc3.has("speedupVsPrevious"));
+
+    // --bench-prev may name the output file itself (the default
+    // --out is BENCH_sweep.json): the previous record is read before
+    // the output is opened and truncated.
+    const std::string cmd4 =
+        std::string("\"") + TOLEO_SIM_BIN +
+        "\" --bench --workloads bsw --engines NoProtect"
+        " --cores 2 --warmup 500 --measure 2000 --jobs 1 --quiet"
+        " --bench-prev \"" + out3 + "\" --out \"" + out3 + "\"";
+    ASSERT_EQ(std::system(cmd4.c_str()), 0) << cmd4;
+    std::ifstream in4(out3);
+    std::ostringstream text4;
+    text4 << in4.rdbuf();
+    const Json doc4 = Json::parse(text4.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_TRUE(doc4.has("previous"));
+    EXPECT_TRUE(doc4.has("speedupVsPrevious"));
+
+    // A bad --bench-big list fails before the output is opened, so
+    // the record it would have overwritten survives.
+    const std::string bad_big =
+        std::string("\"") + TOLEO_SIM_BIN +
+        "\" --bench --bench-big 1,0 --quiet --out \"" + out3 +
+        "\" > /dev/null 2>&1";
+    EXPECT_NE(std::system(bad_big.c_str()), 0);
+    std::ifstream in5(out3);
+    std::ostringstream text5;
+    text5 << in5.rdbuf();
+    EXPECT_EQ(text5.str(), text4.str());
 
     // bench mode is JSON-only: an explicit CSV request must fail.
     const std::string bad_fmt =

@@ -3,15 +3,16 @@
  * Phase-safety static race analysis for the toleo tree.
  *
  * The repo's load-bearing invariant -- bit-identical fixed-seed stats
- * under any --threads-per-cell / --jobs combination -- rests on a
- * phase discipline: inside System::stepRounds the *private* phase may
- * run per-core bodies concurrently (IntraPool), so everything
- * reachable from a private-phase entry point must touch only
- * core-indexed or instance-local state; all genuinely shared
- * structures are mutated only in the single-threaded *shared* replay
- * phase.  TSan checks this discipline on the executions the test grid
- * happens to run; this pass checks it on the *code*, over every
- * app/engine combination at once.
+ * under any --rack-threads / --jobs combination -- rests on a phase
+ * discipline: the rack node pool (IntraPool) runs the nodes'
+ * *private* epoch halves (System::stepEpochPrivate) concurrently, so
+ * everything reachable from a private-phase entry point must touch
+ * only core-indexed or instance-local state; all genuinely shared
+ * structures (the shared Toleo device above all) are mutated only in
+ * the single-threaded *shared* replay phase.  TSan checks this
+ * discipline on the executions the test grid happens to run; this
+ * pass checks it on the *code*, over every app/engine combination at
+ * once.
  *
  * The source of truth is annotations in comments:
  *

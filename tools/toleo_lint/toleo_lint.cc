@@ -506,9 +506,9 @@ ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
     // Threading is only compatible with the determinism contract
     // here because every existing pool preserves the replay
     // structure: runCellPool (sim/sweep.cc) runs cells that share no
-    // mutable state, and IntraPool (sim/intra_pool) runs per-core
-    // private phases whose work assignment is a pure function of the
-    // index.  A raw std::thread anywhere else has no such argument
+    // mutable state, and IntraPool (sim/intra_pool) runs rack nodes'
+    // private epoch halves whose work assignment is a pure function
+    // of the index.  A raw std::thread anywhere else has no such argument
     // attached, so it is banned: route new parallelism through one
     // of the pools (or extend this sanctioned list with the
     // accompanying reasoning).
@@ -532,7 +532,7 @@ ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
                 lint.emit(sf, i + 1, "raw-thread",
                           "raw thread spawn outside the sanctioned "
                           "pools: new parallelism must go through "
-                          "IntraPool (per-core private phases) or "
+                          "IntraPool (rack node private phases) or "
                           "runCellPool (independent cells) so the "
                           "deterministic-replay structure survives");
         }

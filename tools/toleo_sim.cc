@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,13 +49,16 @@ struct CliOptions
     bool bench = false;
     /** Previous BENCH_sweep.json to embed for before/after deltas. */
     std::string benchPrevPath;
+    /** That record, read before the output is opened: the default
+     *  --out is the same file, and opening it truncates it. */
+    Json benchPrev;
     /** Free-text host/context note embedded in the bench record. */
     std::string benchNote;
-    /** Big-cell microbench thread counts ("1,2,8"); empty = skip. */
-    std::string benchBig;
+    /** Rack-cell microbench thread counts (--bench-big); empty = skip. */
+    std::vector<unsigned> benchBig;
     /** --jobs was given explicitly (0 = auto-detect). */
     bool jobsSet = false;
-    /** Run even when jobs x threads-per-cell exceeds the host. */
+    /** Run even when jobs x rack-threads exceeds the host. */
     bool allowOversubscribe = false;
 };
 
@@ -78,18 +82,10 @@ usage(const char *argv0)
         "  --measure N       measured references per core (default: 60000)\n"
         "  --jobs N          cross-cell worker threads; 0 (and the\n"
         "                    default) = auto-detect: hardware threads\n"
-        "                    divided by --threads-per-cell\n"
-        "  --threads-per-cell N\n"
-        "                    private-phase threads inside every cell's\n"
-        "                    System(s) (default: 1); statistics are\n"
-        "                    bit-identical for any value.  Composes\n"
-        "                    multiplicatively with --jobs, and the\n"
-        "                    product is checked against the host's\n"
-        "                    hardware threads\n"
+        "                    divided by --rack-threads\n"
         "  --allow-oversubscribe\n"
         "                    run anyway when an explicit --jobs x\n"
-        "                    --rack-threads x --threads-per-cell\n"
-        "                    oversubscribes the host\n"
+        "                    --rack-threads oversubscribes the host\n"
         "  --seed N          simulation seed (default: 42)\n"
         "  --rack N          simulate every cell as an N-node rack\n"
         "                    sharing one Toleo device (node i seeds\n"
@@ -105,8 +101,8 @@ usage(const char *argv0)
         "                    replay stays serial in node order, so\n"
         "                    statistics are bit-identical for any\n"
         "                    value.  Composes multiplicatively with\n"
-        "                    --jobs and --threads-per-cell under the\n"
-        "                    same host-thread budget check\n"
+        "                    --jobs, and the product is checked\n"
+        "                    against the host's hardware threads\n"
         "  --arrival SPEC    request arrival model: 'closed' (the\n"
         "                    classic replay, default), 'poisson:RATE'\n"
         "                    or 'burst:RATE,CV' with RATE in requests\n"
@@ -137,16 +133,14 @@ usage(const char *argv0)
         "                    and report the speedup against it\n"
         "  --bench-note TEXT embed TEXT as 'note' in the bench record\n"
         "                    (host description, context)\n"
-        "  --bench-big LIST  with --bench: also run the 64-core\n"
-        "                    big-cell microbench once per\n"
-        "                    threads-per-cell count in the comma-\n"
-        "                    separated LIST, recording wall time,\n"
-        "                    refs/sec, speedup, the per-phase\n"
-        "                    breakdown, and stats bit-identity\n"
-        "                    across thread counts; the same LIST\n"
-        "                    then drives --rack-threads over a\n"
-        "                    4-node rack cell (bit-identity gated\n"
-        "                    the same way)\n"
+        "  --bench-big LIST  with --bench: also time the 64-core\n"
+        "                    big cell once, single-threaded (wall\n"
+        "                    time, refs/sec, per-phase breakdown),\n"
+        "                    then a 4-node rack cell once per\n"
+        "                    --rack-threads count in the comma-\n"
+        "                    separated LIST, recording refs/sec,\n"
+        "                    speedup, and stats bit-identity across\n"
+        "                    thread counts\n"
         "  --help            this message\n",
         argv0);
 }
@@ -162,6 +156,18 @@ parseUint(const char *flag, const char *text)
         fatal("%s: expected a non-negative integer, got '%s'", flag,
               text);
     return v;
+}
+
+/** parseUint for counts held in an unsigned: values that would wrap
+ *  when narrowed are rejected by name instead. */
+unsigned
+parseCount(const char *flag, const char *text)
+{
+    const std::uint64_t v = parseUint(flag, text);
+    if (v > std::numeric_limits<unsigned>::max())
+        fatal("%s: %s exceeds the maximum of %u", flag, text,
+              std::numeric_limits<unsigned>::max());
+    return static_cast<unsigned>(v);
 }
 
 const char *
@@ -189,12 +195,24 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--bench-note")) {
             opts.benchNote = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--bench-big")) {
-            opts.benchBig = nextArg(argc, argv, i);
+            const char *text = nextArg(argc, argv, i);
+            std::stringstream ss(text);
+            std::string part;
+            while (std::getline(ss, part, ',')) {
+                if (part.empty())
+                    continue;
+                const unsigned t = parseCount(arg, part.c_str());
+                if (t == 0)
+                    fatal("--bench-big: thread counts must be positive");
+                opts.benchBig.push_back(t);
+            }
+            if (opts.benchBig.empty())
+                fatal("--bench-big: expected a comma-separated list of "
+                      "thread counts, got '%s'", text);
         } else if (!std::strcmp(arg, "--engines")) {
             opts.engines = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--cores")) {
-            opts.sweep.cores = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.cores = parseCount(arg, nextArg(argc, argv, i));
             if (opts.sweep.cores == 0)
                 fatal("--cores must be positive");
         } else if (!std::strcmp(arg, "--warmup")) {
@@ -207,27 +225,21 @@ parseArgs(int argc, char **argv)
                 fatal("--measure must be positive");
         } else if (!std::strcmp(arg, "--jobs")) {
             // 0 = auto-detect, resolved below once every flag
-            // (notably --threads-per-cell) has been parsed.
-            opts.sweep.jobs = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            // (notably --rack-threads) has been parsed.
+            opts.sweep.jobs = parseCount(arg, nextArg(argc, argv, i));
             opts.jobsSet = opts.sweep.jobs != 0;
-        } else if (!std::strcmp(arg, "--threads-per-cell")) {
-            opts.sweep.intraThreads = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
-            if (opts.sweep.intraThreads == 0)
-                fatal("--threads-per-cell must be positive");
         } else if (!std::strcmp(arg, "--allow-oversubscribe")) {
             opts.allowOversubscribe = true;
         } else if (!std::strcmp(arg, "--seed")) {
             opts.sweep.seed = parseUint(arg, nextArg(argc, argv, i));
         } else if (!std::strcmp(arg, "--rack")) {
-            opts.sweep.rackNodes = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.rackNodes =
+                parseCount(arg, nextArg(argc, argv, i));
             if (opts.sweep.rackNodes == 0)
                 fatal("--rack must be positive");
         } else if (!std::strcmp(arg, "--rack-threads")) {
-            opts.sweep.rackThreads = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.rackThreads =
+                parseCount(arg, nextArg(argc, argv, i));
             if (opts.sweep.rackThreads == 0)
                 fatal("--rack-threads must be positive");
         } else if (!std::strcmp(arg, "--rack-service")) {
@@ -291,32 +303,28 @@ parseArgs(int argc, char **argv)
     }
 
     // Thread budget.  Unset or explicit-zero --jobs auto-detects:
-    // the host's hardware threads divided across the per-cell pools,
-    // so the default never oversubscribes whatever
-    // --threads-per-cell was chosen.  hardware_concurrency() may
-    // return 0 (unknown); treat that as 1 and skip the guard.
+    // the host's hardware threads divided across the per-cell rack
+    // pools, so the default never oversubscribes whatever
+    // --rack-threads was chosen.  hardware_concurrency() may return
+    // 0 (unknown); treat that as 1 and skip the guard.
     const unsigned hw = std::thread::hardware_concurrency();
-    // Per-cell threads: the rack tier multiplies in between jobs and
-    // threads-per-cell (each rack worker drives one node's private
-    // phase, and each node's System may itself pool).
-    const unsigned perCell =
-        opts.sweep.rackThreads * opts.sweep.intraThreads;
+    const unsigned perCell = opts.sweep.rackThreads;
     if (!opts.jobsSet)
         opts.sweep.jobs = std::max(1u, (hw ? hw : 1) / perCell);
 
     // An explicit combination that oversubscribes the host thrashes
     // silently (every pool thinks it owns the machine); reject it
     // with the budget spelled out.  Plain --jobs N > hw stays legal
-    // as it always was -- the check guards the new multiplicative
-    // knobs.
+    // as it always was -- the check guards the multiplicative rack
+    // knob.
     if (perCell > 1 && opts.jobsSet && hw != 0 &&
         opts.sweep.jobs * perCell > hw && !opts.allowOversubscribe)
-        fatal("--jobs %u x --rack-threads %u x --threads-per-cell %u "
-              "= %u threads oversubscribes this host's %u hardware "
-              "threads; lower one, let --jobs auto-detect (omit it "
-              "or pass 0), or pass --allow-oversubscribe",
+        fatal("--jobs %u x --rack-threads %u = %u threads "
+              "oversubscribes this host's %u hardware threads; lower "
+              "one, let --jobs auto-detect (omit it or pass 0), or "
+              "pass --allow-oversubscribe",
               opts.sweep.jobs, opts.sweep.rackThreads,
-              opts.sweep.intraThreads, opts.sweep.jobs * perCell, hw);
+              opts.sweep.jobs * perCell, hw);
     return opts;
 }
 
@@ -334,7 +342,6 @@ emitJson(const CliOptions &opts, const std::vector<SweepCell> &cells,
     cfg["measureRefs"] = opts.sweep.measureRefs;
     cfg["seed"] = opts.sweep.seed;
     cfg["jobs"] = opts.sweep.jobs;
-    cfg["threadsPerCell"] = opts.sweep.intraThreads;
     cfg["cells"] = static_cast<std::uint64_t>(cells.size());
     doc["config"] = std::move(cfg);
 
@@ -366,7 +373,6 @@ emitRackJson(const CliOptions &opts,
     cfg["measureRefs"] = opts.sweep.measureRefs;
     cfg["seed"] = opts.sweep.seed;
     cfg["jobs"] = opts.sweep.jobs;
-    cfg["threadsPerCell"] = opts.sweep.intraThreads;
     cfg["cells"] = static_cast<std::uint64_t>(cells.size());
     doc["config"] = std::move(cfg);
 
@@ -424,32 +430,15 @@ phasesToJson(const PhaseTimes &ph)
 /**
  * The big-cell microbench: one 64-core memcached/Toleo cell -- the
  * one-hot-node shape the rack economics care about, where cross-cell
- * --jobs cannot help -- run once per requested threads-per-cell
- * count.  Records wall time, refs/sec, the per-phase breakdown, the
- * speedup over the first run, and whether statsToJson stayed
+ * --jobs cannot help -- timed once, single-threaded, with its
+ * per-phase breakdown.  A 4-node rack cell of the same app then runs
+ * once per requested --rack-threads count, recording refs/sec, the
+ * speedup over the first run, and whether rackStatsToJson stayed
  * bit-identical across every thread count.
  */
 Json
 runBenchBig(const CliOptions &opts)
 {
-    std::vector<unsigned> counts;
-    {
-        std::stringstream ss(opts.benchBig);
-        std::string part;
-        while (std::getline(ss, part, ',')) {
-            if (part.empty())
-                continue;
-            const unsigned t = static_cast<unsigned>(
-                parseUint("--bench-big", part.c_str()));
-            if (t == 0)
-                fatal("--bench-big: thread counts must be positive");
-            counts.push_back(t);
-        }
-    }
-    if (counts.empty())
-        fatal("--bench-big: expected a comma-separated list of "
-              "thread counts, got '%s'", opts.benchBig.c_str());
-
     const SweepCell cell{"memcached", EngineKind::Toleo};
     SweepOptions bo;
     bo.cores = 64;
@@ -464,22 +453,62 @@ runBenchBig(const CliOptions &opts)
     big["cores"] = bo.cores;
     big["warmupRefs"] = bo.warmupRefs;
     big["measureRefs"] = bo.measureRefs;
+    {
+        PhaseTimes ph;
+        // Microbench wall clock: perf telemetry only.
+        // toleo-lint: allow(nondeterminism)
+        const auto t0 = std::chrono::steady_clock::now();
+        runSweepCell(cell, bo, &ph);
+        const double sec =
+            std::chrono::duration<double>(
+                // toleo-lint: allow(nondeterminism)
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        Json run = Json::object();
+        run["wallSeconds"] = sec;
+        run["refsPerSec"] =
+            sec > 0.0 ? static_cast<double>(cellRefs(bo)) / sec : 0.0;
+        run["phases"] = phasesToJson(ph);
+        Json runs = Json::array();
+        runs.push_back(std::move(run));
+        big["runs"] = std::move(runs);
+        if (opts.progress)
+            std::fprintf(stderr, "[big-cell] %.3fs\n", sec);
+    }
+
+    // Rack-cell companion: LIST drives --rack-threads over a 4-node
+    // rack at the default sweep window, the shape the rack tier is
+    // judged on (a 10k/20k rack finishes in about 40 ms, too short
+    // to time a thread pool).  The record keeps refs/sec per thread
+    // count for the trajectory, and fails hard if rackStatsToJson is
+    // not bit-identical across counts.
+    SweepOptions ro;
+    ro.cores = 8;
+    ro.seed = opts.sweep.seed;
+    ro.jobs = 1;
+    ro.rackNodes = 4;
+
+    Json rackCell = Json::object();
+    rackCell["workload"] = cell.workload;
+    rackCell["engine"] = engineKindName(cell.engine);
+    rackCell["nodes"] = ro.rackNodes;
+    rackCell["coresPerNode"] = ro.cores;
+    rackCell["warmupRefs"] = ro.warmupRefs;
+    rackCell["measureRefs"] = ro.measureRefs;
 
     const unsigned hw = std::thread::hardware_concurrency();
     std::string firstDump;
     double firstSec = 0.0;
     bool identical = true;
-    Json runs = Json::array();
-    for (const unsigned t : counts) {
+    Json rackRuns = Json::array();
+    for (const unsigned t : opts.benchBig) {
         if (hw != 0 && t > hw)
             warn("--bench-big: %u threads on a %u-thread host; the "
                  "timing of this run is not meaningful", t, hw);
-        bo.intraThreads = t;
-        PhaseTimes ph;
-        // Microbench wall clock: perf telemetry only.
+        ro.rackThreads = t;
         // toleo-lint: allow(nondeterminism)
         const auto t0 = std::chrono::steady_clock::now();
-        const SimStats stats = runSweepCell(cell, bo, &ph);
+        const RackStats rstats = runRackSweepCell(cell, ro);
         const double sec =
             std::chrono::duration<double>(
                 // toleo-lint: allow(nondeterminism)
@@ -487,7 +516,7 @@ runBenchBig(const CliOptions &opts)
                 .count();
 
         std::ostringstream dump;
-        statsToJson(stats).dump(dump, 2);
+        rackStatsToJson(rstats).dump(dump, 2);
         if (firstDump.empty()) {
             firstDump = dump.str();
             firstSec = sec;
@@ -496,95 +525,25 @@ runBenchBig(const CliOptions &opts)
         }
 
         Json run = Json::object();
-        run["intraThreads"] = t;
+        run["rackThreads"] = t;
         run["wallSeconds"] = sec;
         run["refsPerSec"] =
-            sec > 0.0 ? static_cast<double>(cellRefs(bo)) / sec : 0.0;
+            sec > 0.0 ? static_cast<double>(ro.rackNodes) *
+                            static_cast<double>(cellRefs(ro)) / sec
+                      : 0.0;
         run["speedupVsFirst"] = sec > 0.0 ? firstSec / sec : 0.0;
-        run["phases"] = phasesToJson(ph);
-        runs.push_back(std::move(run));
+        rackRuns.push_back(std::move(run));
         if (opts.progress)
-            std::fprintf(stderr,
-                         "[big-cell] %u thread%s: %.3fs\n", t,
-                         t == 1 ? "" : "s", sec);
+            std::fprintf(stderr, "[rack-cell] %u rack-thread%s: %.3fs\n",
+                         t, t == 1 ? "" : "s", sec);
     }
-    big["runs"] = std::move(runs);
-    big["bitIdentical"] = identical;
+    rackCell["runs"] = std::move(rackRuns);
+    rackCell["bitIdentical"] = identical;
     if (!identical)
-        fatal("--bench-big: statsToJson differed across thread "
-              "counts; the intra-cell pool broke determinism");
-
-    // Rack-cell companion: the same thread-count list drives
-    // --rack-threads over a 4-node rack (smaller nodes, so the
-    // section stays a smoke-scale gate).  The record pins the
-    // node-parallel epoch loop the same way the big cell pins the
-    // intra-cell pool: refs/sec per thread count for the
-    // trajectory, and a hard failure if rackStatsToJson is not
-    // bit-identical across counts.
-    {
-        SweepOptions ro;
-        ro.cores = 8;
-        ro.warmupRefs = 10000;
-        ro.measureRefs = 20000;
-        ro.seed = opts.sweep.seed;
-        ro.jobs = 1;
-        ro.rackNodes = 4;
-
-        Json rackCell = Json::object();
-        rackCell["workload"] = cell.workload;
-        rackCell["engine"] = engineKindName(cell.engine);
-        rackCell["nodes"] = ro.rackNodes;
-        rackCell["coresPerNode"] = ro.cores;
-        rackCell["warmupRefs"] = ro.warmupRefs;
-        rackCell["measureRefs"] = ro.measureRefs;
-
-        std::string rackFirstDump;
-        double rackFirstSec = 0.0;
-        bool rackIdentical = true;
-        Json rackRuns = Json::array();
-        for (const unsigned t : counts) {
-            ro.rackThreads = t;
-            // toleo-lint: allow(nondeterminism)
-            const auto t0 = std::chrono::steady_clock::now();
-            const RackStats rstats = runRackSweepCell(cell, ro);
-            const double sec =
-                std::chrono::duration<double>(
-                    // toleo-lint: allow(nondeterminism)
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            std::ostringstream dump;
-            rackStatsToJson(rstats).dump(dump, 2);
-            if (rackFirstDump.empty()) {
-                rackFirstDump = dump.str();
-                rackFirstSec = sec;
-            } else if (dump.str() != rackFirstDump) {
-                rackIdentical = false;
-            }
-
-            Json run = Json::object();
-            run["rackThreads"] = t;
-            run["wallSeconds"] = sec;
-            run["refsPerSec"] =
-                sec > 0.0 ? static_cast<double>(ro.rackNodes) *
-                                static_cast<double>(cellRefs(ro)) / sec
-                          : 0.0;
-            run["speedupVsFirst"] =
-                sec > 0.0 ? rackFirstSec / sec : 0.0;
-            rackRuns.push_back(std::move(run));
-            if (opts.progress)
-                std::fprintf(stderr,
-                             "[rack-cell] %u rack-thread%s: %.3fs\n",
-                             t, t == 1 ? "" : "s", sec);
-        }
-        rackCell["runs"] = std::move(rackRuns);
-        rackCell["bitIdentical"] = rackIdentical;
-        if (!rackIdentical)
-            fatal("--bench-big: rackStatsToJson differed across "
-                  "--rack-threads counts; the node-parallel rack "
-                  "loop broke determinism");
-        big["rackCell"] = std::move(rackCell);
-    }
+        fatal("--bench-big: rackStatsToJson differed across "
+              "--rack-threads counts; the node-parallel rack loop "
+              "broke determinism");
+    big["rackCell"] = std::move(rackCell);
     return big;
 }
 
@@ -612,7 +571,6 @@ emitBench(const CliOptions &opts, const std::vector<SweepCell> &cells,
     cfg["measureRefs"] = opts.sweep.measureRefs;
     cfg["seed"] = opts.sweep.seed;
     cfg["jobs"] = opts.sweep.jobs;
-    cfg["threadsPerCell"] = opts.sweep.intraThreads;
     cfg["cells"] = static_cast<std::uint64_t>(cells.size());
     doc["config"] = std::move(cfg);
 
@@ -647,17 +605,7 @@ emitBench(const CliOptions &opts, const std::vector<SweepCell> &cells,
         doc["bigCell"] = std::move(bigCell);
 
     if (!opts.benchPrevPath.empty()) {
-        std::ifstream in(opts.benchPrevPath);
-        if (!in)
-            fatal("cannot open --bench-prev file '%s'",
-                  opts.benchPrevPath.c_str());
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string err;
-        const Json prev_doc = Json::parse(text.str(), &err);
-        if (!err.empty())
-            fatal("--bench-prev '%s': %s", opts.benchPrevPath.c_str(),
-                  err.c_str());
+        const Json &prev_doc = opts.benchPrev;
         Json prev = Json::object();
         if (const Json *w = prev_doc.get("wallSeconds"))
             prev["wallSeconds"] = w->asDouble();
@@ -717,6 +665,19 @@ main(int argc, char **argv)
     }
     if (!opts.benchBig.empty() && !opts.bench)
         fatal("--bench-big extends the --bench record; pass --bench");
+    if (!opts.benchPrevPath.empty()) {
+        std::ifstream in(opts.benchPrevPath);
+        if (!in)
+            fatal("cannot open --bench-prev file '%s'",
+                  opts.benchPrevPath.c_str());
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::string err;
+        opts.benchPrev = Json::parse(text.str(), &err);
+        if (!err.empty())
+            fatal("--bench-prev '%s': %s", opts.benchPrevPath.c_str(),
+                  err.c_str());
+    }
 
     const bool rack = opts.sweep.rackNodes > 1;
     if (!rack && opts.sweep.rackThreads > 1)
