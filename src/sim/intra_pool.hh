@@ -2,10 +2,11 @@
  * @file
  * Persistent rack node pool (--rack-threads).
  *
- * runRack (sim/rack.cc) steps each rack node's private epoch half
- * (System::stepEpochPrivate: generator draws, L1/L2, event staging)
- * over state owned by that node alone, so the per-node bodies can
- * run on worker threads without any observable reordering: every
+ * runRack (sim/rack.cc) stages each rack node's private epoch half
+ * (System::stepEpochPrivate: System::stageItem over the epoch's
+ * plan -- generator draws, L1/L2, event staging) over state owned by
+ * that node alone, so the per-node bodies can run on worker threads
+ * without any observable reordering: every
  * node's shared replay (L3, topology, protection engine, the shared
  * Toleo device) still runs single-threaded in node order afterwards.
  * This pool is the sanctioned home for those threads

@@ -13,7 +13,7 @@ namespace toleo {
 
 /**
  * Node-private half of one rack epoch step: generator draws, L1/L2,
- * footprint and serving-boundary staging.  This is the body the rack
+ * footprint, shared-event and serving-boundary staging.  This is the body the rack
  * pool runs for all live nodes concurrently, and the phase-safety
  * walk root that proves it never touches the shared device, the
  * arbiter, or any other node's state.
@@ -125,8 +125,11 @@ runRack(const RackConfig &cfg)
         systems[i]->beginRun(cfg.warmupRefs, cfg.measureRefs);
 
     // Node pool for the private epoch halves.  rackThreads == 1 (the
-    // default) takes the historic one-call stepEpoch() path below --
-    // not a pool of one -- so the serial binary is exactly unchanged.
+    // default) has no concurrency to gain from deferring the replay,
+    // so each node steps with stepEpoch() below, which replays every
+    // batch as soon as it is staged and so keeps its event queues one
+    // batch deep.  Both paths run System's one stage/replay
+    // executor, so the record is the same either way.
     const unsigned rackThreads =
         std::min(std::max(1u, cfg.rackThreads), n);
     std::unique_ptr<IntraPool> rackPool;

@@ -71,9 +71,11 @@ struct RackConfig
      * access; System::stepEpochPrivate) that the pool runs for all
      * live nodes concurrently, and a shared sub-phase (device/arbiter
      * replay; System::replayEpochShared) that always runs serially in
-     * strict node order.  1 (the default) takes exactly the historic
-     * serial stepEpoch() path; any value yields bit-identical
-     * rackStatsToJson output.  Clamped to the node count.
+     * strict node order.  1 (the default) steps each node with
+     * System::stepEpoch(), which replays every batch as soon as it is
+     * staged instead of staging whole epochs; any value yields
+     * bit-identical rackStatsToJson output.  Clamped to the node
+     * count.
      */
     unsigned rackThreads = 1;
 };

@@ -241,7 +241,8 @@ System::privateCore(unsigned core, std::uint64_t rounds)
     constexpr std::uint64_t prefetchDist = 8;
 
     MemRef *refs = &refBuf_[core * batchRounds];
-    SharedEvent *evs = &evBuf_[core * batchRounds];
+    SharedEvent *evs = &evBuf_[core * evStride_ + evCount_[core]];
+    const std::uint32_t base = stageRound_;
     gens_[core]->nextBatch(refs, rounds);
     std::uint32_t nev = 0;
     std::uint64_t insts = 0;
@@ -266,22 +267,19 @@ System::privateCore(unsigned core, std::uint64_t rounds)
             footprint_.insert(page); // toleo-lint: allow(phase-safety)
         }
         if (priv.needsShared()) {
-            evs[nev].round = static_cast<std::uint32_t>(k);
-            evs[nev].priv = priv;
+            evs[nev] = {ref.addr, priv,
+                        base + static_cast<std::uint32_t>(k)};
             ++nev;
         }
     }
-    evCount_[core] = nev;
-    evPos_[core] = 0;
+    evCount_[core] += nev;
     if (serving_) {
-        // Stage this batch's request boundaries (round index plus the
-        // absolute retired-instruction count at completion) for the
-        // shared phase to time-stamp.  A post-loop pass over the
-        // already-drawn refs keeps the hot loop above untouched; the
-        // state is all core-local.
+        // Stage this batch's request boundaries (staged-round index
+        // plus the absolute retired-instruction count at completion)
+        // for the shared phase to time-stamp.  A post-loop pass over
+        // the already-drawn refs keeps the hot loop above untouched;
+        // the state is all core-local.
         auto &sv = servCores_[core];
-        sv.boundaries.clear();
-        sv.pos = 0;
         const auto &marks = reqSrcs_[core]->batchBoundaries();
         if (!marks.empty()) {
             std::uint64_t cum = coreInsts_[core];
@@ -289,7 +287,7 @@ System::privateCore(unsigned core, std::uint64_t rounds)
             for (const std::uint32_t m : marks) {
                 for (; next <= m; ++next)
                     cum += refs[next].instGap + 1;
-                sv.boundaries.push_back({m, cum});
+                sv.boundaries.push_back({base + m, cum});
             }
         }
     }
@@ -297,108 +295,110 @@ System::privateCore(unsigned core, std::uint64_t rounds)
 }
 
 void
-System::stepRounds(std::uint64_t rounds, bool measuring)
+System::clearStaged()
 {
-    const unsigned cores = cfg_.numCores;
-    const bool timing = cfg_.phaseTimers;
-    while (rounds > 0) {
-        const std::uint64_t n = std::min(rounds, batchRounds);
+    std::fill(evCount_.begin(), evCount_.end(), 0);
+    std::fill(evPos_.begin(), evPos_.end(), 0);
+    for (auto &sv : servCores_) {
+        sv.boundaries.clear();
+        sv.pos = 0;
+    }
+    stageRound_ = replayRound_ = 0;
+}
 
-        const double t0 = benchNowNs(timing);
+void
+System::stageItem(EpochPlanItem &item)
+{
+    switch (item.kind) {
+      case EpochPlanItem::Kind::Run: {
+        const double t0 = benchNowNs(cfg_.phaseTimers);
+        const auto rounds = static_cast<std::uint32_t>(item.rounds);
+        // Only a deferred (stepEpochPrivate) epoch stages more than
+        // one batch before replaying; grow every core's queue then.
+        if (stageRound_ + rounds > evStride_) {
+            const std::size_t stride = std::max<std::size_t>(
+                2 * evStride_, stageRound_ + rounds);
+            std::vector<SharedEvent> grown(cfg_.numCores * stride);
+            for (unsigned c = 0; c < cfg_.numCores; ++c)
+                std::copy_n(&evBuf_[c * evStride_], evCount_[c],
+                            &grown[c * stride]);
+            evBuf_.swap(grown);
+            evStride_ = stride;
+        }
+        // Generator draws and each core's own L1/L2.  Per-generator
+        // draw order and per-cache operation sequences are exactly
+        // those of a one-reference-at-a-time loop.
+        for (unsigned c = 0; c < cfg_.numCores; ++c)
+            privateCore(c, rounds);
+        stageRound_ += rounds;
+        if (cfg_.phaseTimers)
+            phases_.privateNs += benchNowNs(true) - t0;
+        break;
+      }
+      case EpochPlanItem::Kind::Reset:
+        resetMeasurementPrivate();
+        break;
+      case EpochPlanItem::Kind::Boundary:
+        // Entirely shared work.
+        break;
+      case EpochPlanItem::Kind::Sample:
+        item.insts = 0;
+        for (unsigned c = 0; c < cfg_.numCores; ++c)
+            item.insts += coreInsts_[c];
+        item.footprintPages = footprint_.size();
+        break;
+    }
+}
 
-        // Private phase: generator draws and each core's own L1/L2.
-        // Per-generator draw order and per-cache operation sequences
-        // are exactly those of the old one-reference-at-a-time loop.
-        for (unsigned c = 0; c < cores; ++c)
-            privateCore(c, n);
-
-        const double t1 = benchNowNs(timing);
-
-        // Shared phase, in round-robin global order: L3 slices, the
-        // memory topology, and the protection engine observe the
-        // exact operation sequence of the original loop.  Each
-        // core's queue is already round-ordered, so this is an
-        // n-way merge on the round index.
-        for (std::uint64_t k = 0; k < n; ++k) {
+void
+System::replayItem(const EpochPlanItem &item)
+{
+    switch (item.kind) {
+      case EpochPlanItem::Kind::Run: {
+        const double t0 = benchNowNs(cfg_.phaseTimers);
+        const unsigned cores = cfg_.numCores;
+        const std::size_t stride = evStride_;
+        const std::uint32_t end =
+            replayRound_ + static_cast<std::uint32_t>(item.rounds);
+        // Round-robin global order: L3 slices, the memory topology,
+        // and the protection engine observe the operation sequence
+        // of a one-reference-at-a-time loop.  Each core's queue is
+        // already round-ordered, so this is an n-way merge on the
+        // round index.
+        for (std::uint32_t k = replayRound_; k < end; ++k) {
             for (unsigned c = 0; c < cores; ++c) {
                 const std::uint32_t pos = evPos_[c];
                 if (pos >= evCount_[c])
                     continue;
-                const SharedEvent &ev = evBuf_[c * batchRounds + pos];
+                const SharedEvent &ev = evBuf_[c * stride + pos];
                 if (ev.round != k)
                     continue;
-                stepShared(c, refBuf_[c * batchRounds + k].addr,
-                           ev.priv);
+                stepShared(c, ev.addr, ev.priv);
                 evPos_[c] = pos + 1;
             }
             // Requests ending at round k complete here: the round's
             // shared work has been replayed, so each boundary core's
             // stall clock is final for this point in time.
             if (serving_)
-                finalizeServingRound(k, measuring);
+                finalizeServingRound(k, item.measuring);
         }
-
-        if (timing) {
-            phases_.privateNs += t1 - t0;
-            phases_.sharedNs += benchNowNs(true) - t1;
-        }
-        rounds -= n;
-    }
-}
-
-void
-System::stageRounds(std::uint64_t rounds, bool measuring)
-{
-    const unsigned cores = cfg_.numCores;
-    const bool timing = cfg_.phaseTimers;
-    while (rounds > 0) {
-        const std::uint64_t n = std::min(rounds, batchRounds);
-
-        const double t0 = benchNowNs(timing);
-
-        // Same private phase as stepRounds: draws, L1/L2, per-core
-        // event queues, footprint and serving-boundary staging.
-        for (unsigned c = 0; c < cores; ++c)
-            privateCore(c, n);
-
-        // Flatten this batch's per-core queues into the staged epoch
-        // log -- the identical (round, core) n-way merge stepRounds
-        // replays, minus the stepShared calls.  Rounds are renumbered
-        // globally across the epoch so the replay is one linear scan.
-        for (std::uint64_t k = 0; k < n; ++k) {
-            for (unsigned c = 0; c < cores; ++c) {
-                const std::uint32_t pos = evPos_[c];
-                if (pos >= evCount_[c])
-                    continue;
-                const SharedEvent &ev = evBuf_[c * batchRounds + pos];
-                if (ev.round != k)
-                    continue;
-                stagedEvents_.push_back(
-                    {stageRoundBase_ + k, c,
-                     refBuf_[c * batchRounds + k].addr, ev.priv});
-                evPos_[c] = pos + 1;
-            }
-            if (serving_ && measuring) {
-                // Warmup boundaries are not staged: completeRequest
-                // ignores them (measuring snapshot false), so the
-                // replay stream carries only live completions.
-                for (unsigned c = 0; c < cores; ++c) {
-                    auto &sv = servCores_[c];
-                    while (sv.pos < sv.boundaries.size() &&
-                           sv.boundaries[sv.pos].round == k) {
-                        stagedBoundaries_.push_back(
-                            {stageRoundBase_ + k, c,
-                             sv.boundaries[sv.pos].insts});
-                        ++sv.pos;
-                    }
-                }
-            }
-        }
-        stageRoundBase_ += n;
-
-        if (timing)
-            phases_.privateNs += benchNowNs(true) - t0;
-        rounds -= n;
+        replayRound_ = end;
+        if (replayRound_ == stageRound_)
+            clearStaged();
+        if (cfg_.phaseTimers)
+            phases_.sharedNs += benchNowNs(true) - t0;
+        break;
+      }
+      case EpochPlanItem::Kind::Reset:
+        resetMeasurementShared();
+        runLastEpochNs_ = 0.0;
+        break;
+      case EpochPlanItem::Kind::Boundary:
+        epochBoundary();
+        break;
+      case EpochPlanItem::Kind::Sample:
+        recordTimelineSample(item.insts, item.footprintPages);
+        break;
     }
 }
 
@@ -473,17 +473,10 @@ System::resetServing()
 }
 
 void
-System::resetMeasurement()
-{
-    resetMeasurementPrivate();
-    resetMeasurementShared();
-}
-
-void
 System::resetMeasurementPrivate()
 {
     // Per-core half only: the instruction clocks feed the private
-    // phase's serving-boundary staging, so the staged path must zero
+    // phase's serving-boundary staging, so a deferred epoch must zero
     // them at the reset's position in the *private* pass.  Everything
     // the shared replay owns resets in resetMeasurementShared().
     hierarchy_.resetStatsPrivate();
@@ -547,7 +540,7 @@ System::epochBoundary()
 // Rounds (one reference per core) until the next epoch boundary
 // fires.  Every round adds numCores references, so the per-round
 // epoch re-check of the old loop reduces to a ceiling division,
-// letting stepRounds() run a check-free inner loop.
+// letting privateCore() run a check-free inner loop.
 std::uint64_t
 System::roundsToEpoch() const
 {
@@ -574,6 +567,7 @@ System::beginRun(std::uint64_t warmup_refs, std::uint64_t measure_refs)
     runActive_ = true;
     plan_.clear();
     pendingReplay_ = false;
+    clearStaged();
     runStats_ = SimStats{};
     if (serving_)
         resetServing();
@@ -597,8 +591,9 @@ System::planEpoch()
             runPhaseRefs_ = 0;
             break;
         }
-        const std::uint64_t chunk = std::min(
-            runWarmupRefs_ - runPhaseRefs_, roundsToEpoch());
+        const std::uint64_t chunk =
+            std::min({runWarmupRefs_ - runPhaseRefs_, roundsToEpoch(),
+                      batchRounds});
         plan_.push_back({EpochPlanItem::Kind::Run, false, chunk});
         runGlobalRefs_ += chunk * cfg_.numCores;
         runPhaseRefs_ += chunk;
@@ -609,12 +604,14 @@ System::planEpoch()
         }
     }
 
-    // Measurement phase: batches run until the earlier of the next
-    // epoch boundary and the next timeline-sample round, so neither
-    // condition is tested inside the per-reference loop.
+    // Measurement phase: batches run until the earliest of the next
+    // epoch boundary, the next timeline-sample round, and a full
+    // batch, so none of these is tested inside the per-reference
+    // loop.
     while (runPhaseRefs_ < runMeasureRefs_) {
-        std::uint64_t chunk = std::min(
-            runMeasureRefs_ - runPhaseRefs_, roundsToEpoch());
+        std::uint64_t chunk =
+            std::min({runMeasureRefs_ - runPhaseRefs_, roundsToEpoch(),
+                      batchRounds});
         bool sample_due = false;
         if (devp_) {
             // Next round index ending in a timeline sample.
@@ -644,9 +641,8 @@ System::planEpoch()
             return true;
     }
 
-    // Window exhausted: close the final (possibly partial) epoch --
-    // the same unconditional boundary the monolithic run() ended
-    // with -- and report completion.
+    // Window exhausted: close the final (possibly partial) epoch and
+    // report completion.
     plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
     runActive_ = false;
     return false;
@@ -674,26 +670,9 @@ System::stepEpoch()
             "replayEpochShared()");
 
     const bool more = planEpoch();
-    for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run:
-            stepRounds(item.rounds, item.measuring);
-            break;
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurement();
-            runLastEpochNs_ = 0.0;
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            epochBoundary();
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            std::uint64_t insts = 0;
-            for (unsigned c = 0; c < cfg_.numCores; ++c)
-                insts += coreInsts_[c];
-            recordTimelineSample(insts, footprint_.size());
-            break;
-          }
-        }
+    for (EpochPlanItem &item : plan_) {
+        stageItem(item);
+        replayItem(item);
     }
     return more;
 }
@@ -709,33 +688,8 @@ System::stepEpochPrivate()
             "replayEpochShared()");
 
     const bool more = planEpoch();
-    stagedEvents_.clear();
-    stagedBoundaries_.clear();
-    stagedSamples_.clear();
-    stageRoundBase_ = 0;
-    for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run:
-            stageRounds(item.rounds, item.measuring);
-            break;
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurementPrivate();
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            // Entirely shared work; replayed in order.
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            // Capture the private-side observables now; the replay
-            // pairs them with the shared store's live dynamicBytes()
-            // at exactly the serial path's device state.
-            std::uint64_t insts = 0;
-            for (unsigned c = 0; c < cfg_.numCores; ++c)
-                insts += coreInsts_[c];
-            stagedSamples_.push_back({insts, footprint_.size()});
-            break;
-          }
-        }
-    }
+    for (EpochPlanItem &item : plan_)
+        stageItem(item);
     pendingReplay_ = true;
     return more;
 }
@@ -748,61 +702,8 @@ System::replayEpochShared()
             "System::replayEpochShared: no staged epoch (call "
             "stepEpochPrivate first)");
     pendingReplay_ = false;
-
-    const bool timing = cfg_.phaseTimers;
-    std::size_t ev = 0;
-    std::size_t bd = 0;
-    std::size_t sample = 0;
-    std::uint64_t roundBase = 0;
-    for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run: {
-            const double t0 = benchNowNs(timing);
-            // Linear scan over this chunk's slice of the staged
-            // logs.  Both are (round, core)-ordered; within a round
-            // every shared event replays before any completion, so
-            // the merge reproduces stepRounds' exact sequence.
-            const std::uint64_t end = roundBase + item.rounds;
-            while (true) {
-                const bool haveEv = ev < stagedEvents_.size() &&
-                                    stagedEvents_[ev].round < end;
-                const bool haveBd =
-                    bd < stagedBoundaries_.size() &&
-                    stagedBoundaries_[bd].round < end;
-                if (!haveEv && !haveBd)
-                    break;
-                if (haveEv &&
-                    (!haveBd || stagedEvents_[ev].round <=
-                                    stagedBoundaries_[bd].round)) {
-                    const StagedSharedEvent &e = stagedEvents_[ev];
-                    stepShared(e.core, e.addr, e.priv);
-                    ++ev;
-                } else {
-                    const StagedRequestBoundary &b =
-                        stagedBoundaries_[bd];
-                    completeRequest(b.core, b.insts, true);
-                    ++bd;
-                }
-            }
-            roundBase = end;
-            if (timing)
-                phases_.sharedNs += benchNowNs(true) - t0;
-            break;
-          }
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurementShared();
-            runLastEpochNs_ = 0.0;
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            epochBoundary();
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            const StagedSample &s = stagedSamples_[sample++];
-            recordTimelineSample(s.insts, s.footprintPages);
-            break;
-          }
-        }
-    }
+    for (const EpochPlanItem &item : plan_)
+        replayItem(item);
 }
 
 SimStats

@@ -285,31 +285,30 @@ class System
      *
      * and a driver may interleave several Systems by calling their
      * stepEpoch()s round-robin (see sim/rack.hh, which arbitrates
-     * the shared Toleo device at each epoch barrier).  The
-     * decomposition performs the identical operation sequence to the
-     * historical monolithic run(), so fixed-seed statsToJson output
-     * is bit-identical either way (pinned by tests/test_rack.cc).
+     * the shared Toleo device at each epoch barrier).  Fixed-seed
+     * statsToJson output is pinned by tests/test_rack.cc and
+     * tests/test_golden_grid.cc.
      */
     void beginRun(std::uint64_t warmup_refs,
                   std::uint64_t measure_refs);
     /**
      * Advance until the next traffic-epoch boundary has been closed
      * (or the measurement window is exhausted, which closes the
-     * final boundary).  @return true while more work remains.
+     * final boundary).  Interleaved replay: each plan item is staged
+     * and at once replayed, so the event queues never hold more than
+     * one batch.  @return true while more work remains.
      */
     bool stepEpoch();
     /** Collect the report; call once after stepEpoch() returns false. */
     SimStats finishRun();
 
     /**
-     * Rack-parallel split of stepEpoch().  stepEpochPrivate() runs
-     * the core-private half of exactly one stepEpoch() call --
-     * generator draws, L1/L2 accesses, footprint and serving-boundary
-     * staging -- and stages the shared half (L3/topology/engine/
-     * device events, the measurement reset, the epoch boundary, and
-     * timeline samples) as an ordered log.  replayEpochShared() then
-     * replays that log single-threaded, touching the shared device in
-     * exactly the order the monolithic stepEpoch() would have.
+     * Deferred replay of one stepEpoch(): stepEpochPrivate() stages
+     * every item of the epoch's plan (generator draws, L1/L2,
+     * footprint, per-core shared-event queues and request
+     * boundaries), and replayEpochShared() replays every item
+     * single-threaded.  Both run through the same stageItem() /
+     * replayItem() as stepEpoch(), so
      *
      *   stepEpochPrivate(); replayEpochShared();
      *
@@ -327,7 +326,7 @@ class System
      */
     // toleo: phase(private)
     bool stepEpochPrivate();
-    /** Replay the staged shared half of the last stepEpochPrivate(). */
+    /** Replay every item staged by the last stepEpochPrivate(). */
     // toleo: phase(shared)
     void replayEpochShared();
 
@@ -405,37 +404,42 @@ class System
     // toleo: state(shared)
     ReadLatencyStats readLat_;
 
-    /** Per-core reference batches for stepRounds (generation phase
-     *  and simulation phase run over this, not through per-ref
-     *  virtual calls). */
+    /** Rounds of references per core in one Run item. */
+    static constexpr std::uint64_t batchRounds = 256;
+    /** Per-core reference batches for privateCore (draws land here,
+     *  not through per-ref virtual calls). */
     // toleo: state(per-core)
     std::vector<MemRef> refBuf_;
 
     /** One queued piece of shared work (L3/memory/engine). */
     struct SharedEvent
     {
-        std::uint32_t round;
+        Addr addr;
         PrivateAccessResult priv;
+        std::uint32_t round; ///< staged-round index (see stageRound_)
     };
-    /** Per-core queues of shared events, in increasing round order;
-     *  most references are served privately and queue nothing. */
+    /** Per-core queues of shared events in increasing round order,
+     *  core c's at evBuf_[c * evStride_]; most references are served
+     *  privately and queue nothing.  A core queues at most one event
+     *  per round, so evStride_ >= stageRound_ always suffices. */
     // toleo: state(per-core)
     std::vector<SharedEvent> evBuf_;
+    std::size_t evStride_ = batchRounds;
     // toleo: state(per-core)
     std::vector<std::uint32_t> evCount_;
     // toleo: state(per-core)
     std::vector<std::uint32_t> evPos_;
-
-    /** Rounds of references buffered per core in one sub-batch. */
-    static constexpr std::uint64_t batchRounds = 256;
+    /** Rounds staged / replayed since the last clearStaged(). */
+    std::uint32_t stageRound_ = 0;
+    std::uint32_t replayRound_ = 0;
 
     /** Phase wall-time accumulators (cfg_.phaseTimers only). */
     PhaseTimes phases_;
 
-    /** One request completion staged by privateCore for one batch. */
+    /** One request completion staged by privateCore. */
     struct RequestBoundary
     {
-        std::uint32_t round; ///< batch-relative round index
+        std::uint32_t round; ///< staged-round index (see stageRound_)
         std::uint64_t insts; ///< absolute retired insts at completion
     };
     /**
@@ -451,7 +455,7 @@ class System
         double arrivalNs = 0.0;  ///< arrival time of the latest request
         double lastDoneNs = 0.0; ///< completion of the latest request
         bool primed = false;     ///< first post-reset boundary seen
-        std::vector<RequestBoundary> boundaries; ///< staged this batch
+        std::vector<RequestBoundary> boundaries; ///< staged, round order
         std::uint32_t pos = 0;   ///< finalize cursor into boundaries
     };
 
@@ -499,21 +503,21 @@ class System
     std::uint64_t epochsCompleted_ = 0;
 
     /**
-     * One stepEpoch() call, planned ahead of execution.  The epoch
+     * One step of an epoch, planned ahead of execution.  The epoch
      * control flow (chunk sizing, the warmup->measure transition,
      * epoch-boundary detection, timeline-sample scheduling) depends
      * only on the run-driver counters below -- never on simulated
      * state -- so planEpoch() advances those counters and emits the
-     * ordered item list both execution paths consume: stepEpoch()
-     * executes each item directly, and the staged path runs the
-     * items' private halves (stepEpochPrivate) before replaying
-     * their shared halves (replayEpochShared).
+     * ordered item list.  Every item has a private half (stageItem)
+     * and a shared half (replayItem); stepEpoch() and the
+     * stepEpochPrivate()/replayEpochShared() pair differ only in when
+     * the shared halves run.
      */
     struct EpochPlanItem
     {
         enum class Kind : std::uint8_t
         {
-            Run,      ///< stepRounds(rounds) / stageRounds(rounds)
+            Run,      ///< one batch of rounds
             Reset,    ///< measurement reset (warmup -> measure)
             Boundary, ///< epochBoundary()
             Sample,   ///< record one usage-timeline point
@@ -523,8 +527,13 @@ class System
          *  planner pre-advances runMeasuring_, so executors must use
          *  this snapshot, not the live flag. */
         bool measuring = false;
-        /** Run only: rounds in the chunk. */
+        /** Run only: rounds in the chunk, at most batchRounds. */
         std::uint64_t rounds = 0;
+        /** Sample only: the private-side observables, captured by
+         *  stageItem; replayItem pairs them with the shared store's
+         *  dynamicBytes() at its replay position. */
+        std::uint64_t insts = 0;
+        std::uint64_t footprintPages = 0;
     };
     /** Plan the next epoch into plan_; @return stepEpoch()'s value. */
     bool planEpoch();
@@ -532,67 +541,36 @@ class System
     /** A staged epoch is awaiting replayEpochShared(). */
     bool pendingReplay_ = false;
 
-    /** One flattened shared-phase event of a staged epoch: the
-     *  (round, core)-ordered stream replayEpochShared() feeds to
-     *  stepShared, round-numbered globally across the epoch's
-     *  batches. */
-    struct StagedSharedEvent
-    {
-        std::uint64_t round;
-        std::uint32_t core;
-        Addr addr;
-        PrivateAccessResult priv;
-    };
-    /** One staged request completion ((round, core)-ordered). */
-    struct StagedRequestBoundary
-    {
-        std::uint64_t round;
-        std::uint32_t core;
-        std::uint64_t insts;
-    };
-    /** Stage-time half of one timeline sample; the device-side
-     *  dynamicBytes() is read at replay time, when the shared store
-     *  is in exactly the serial path's state. */
-    struct StagedSample
-    {
-        std::uint64_t insts;
-        std::uint64_t footprintPages;
-    };
-    std::vector<StagedSharedEvent> stagedEvents_;
-    std::vector<StagedRequestBoundary> stagedBoundaries_;
-    std::vector<StagedSample> stagedSamples_;
-    /** Global round counter across one staged epoch's batches. */
-    std::uint64_t stageRoundBase_ = 0;
+    /**
+     * Private half of one plan item.  Run: privateCore for every
+     * core, appending to the per-core event queues; Reset: the
+     * per-core counter reset; Sample: capture insts/footprint into
+     * @p item; Boundary: nothing.
+     */
+    // toleo: phase(private)
+    void stageItem(EpochPlanItem &item);
+    /**
+     * Shared half of one plan item.  Run: the round-ordered n-way
+     * merge of the per-core queues into stepShared, completing each
+     * round's request boundaries after its shared work, so every
+     * shared structure sees the round-robin order of a
+     * one-reference-at-a-time loop; Reset: the shared counter reset;
+     * Boundary: epochBoundary(); Sample: recordTimelineSample().
+     */
+    // toleo: phase(shared)
+    void replayItem(const EpochPlanItem &item);
+    /** Start the event queues and request boundaries over; called
+     *  once everything staged has been replayed, and by beginRun. */
+    void clearStaged();
 
     /** Shared-state part of one reference: L3, memory, engine. */
     // toleo: phase(shared)
     void stepShared(unsigned core, Addr addr,
                     const PrivateAccessResult &priv);
     /**
-     * Run @p rounds rounds of one reference per core.  Each
-     * sub-batch runs the core-private work (generator draws and
-     * L1/L2) per core in a batch, then replays the shared work (L3,
-     * memory system, protection engine) in the round-robin global
-     * order of the original one-reference-at-a-time loop, so every
-     * structure sees the exact operation sequence it always did.
-     * The caller sizes @p rounds so no epoch boundary or timeline
-     * sample falls inside a batch.  @p measuring is the planner's
-     * snapshot of the measurement flag for this chunk.
-     */
-    void stepRounds(std::uint64_t rounds, bool measuring);
-    /**
-     * Private half of stepRounds for the staged path: the same
-     * per-core private batches, but instead of replaying the shared
-     * work it flattens the per-core event queues (and, when
-     * measuring, the staged request boundaries) into the
-     * (round, core)-ordered logs above.
-     */
-    // toleo: phase(private)
-    void stageRounds(std::uint64_t rounds, bool measuring);
-    /**
-     * Core-private body of one stepRounds sub-batch for one core:
-     * generator draw, L1/L2 accesses, shared-event queueing, and
-     * footprint inserts.
+     * Core-private body of one Run item for one core: generator
+     * draw, L1/L2 accesses, shared-event and request-boundary
+     * queueing, and footprint inserts.
      */
     // toleo: phase(private)
     void privateCore(unsigned core, std::uint64_t rounds);
@@ -608,26 +586,24 @@ class System
     /**
      * Lindley-recursion completion of one request on @p core.
      * @p measuring is the planner's snapshot: warmup boundaries are
-     * ignored (the staged path never even stages them).
+     * ignored.
      */
     // toleo: phase(shared)
     void completeRequest(unsigned core, std::uint64_t instsAtDone,
                          bool measuring);
     /** Zero the serving accumulators and per-core overlay state. */
     void resetServing();
-    void resetMeasurement();
-    /** Measurement-reset split for the staged epoch path: the
-     *  per-core half (L1/L2 counters, instruction clocks) applies at
-     *  its position in the private pass, the shared half (L3,
-     *  topology, engine, serving accumulators, stall clocks) at the
-     *  matching position in the replay. */
+    /** Measurement reset, split by phase: the per-core half (L1/L2
+     *  counters, instruction clocks) applies when the Reset item is
+     *  staged, the shared half (L3, topology, engine, serving
+     *  accumulators, stall clocks) when it is replayed. */
     // toleo: phase(private)
     void resetMeasurementPrivate();
     // toleo: phase(shared)
     void resetMeasurementShared();
     /** Append one usage-timeline point (Fig 12); reads the shared
-     *  store's dynamic bytes live, so the staged path calls it at
-     *  replay position with stage-captured insts/footprint. */
+     *  store's dynamic bytes live, so it runs at the Sample item's
+     *  replay position with the stage-captured insts/footprint. */
     // toleo: phase(shared)
     void recordTimelineSample(std::uint64_t insts,
                               std::uint64_t footprintPages);

@@ -144,40 +144,63 @@ TEST(Rack, FourNodeContentionIsVisibleAndCharged)
     EXPECT_GT(rack.deviceGrantedBytes, solo.deviceGrantedBytes);
 }
 
-TEST(Rack, StagedEpochHalvesMatchMonolithicStep)
+TEST(Rack, DeferredReplayMatchesInterleavedReplay)
 {
-    // The tentpole decomposition at System level: for every epoch,
-    // stepEpochPrivate() + replayEpochShared() must be bit-identical
-    // to one stepEpoch() -- same return values, same epoch count,
-    // same final stats.  Covered for a version-heavy Toleo node and
-    // an open-loop serving node (the staged request boundaries are
-    // the subtle part).
-    for (const bool serving : {false, true}) {
-        SystemConfig cfg =
-            makeScaledConfig("memcached", EngineKind::Toleo, 2);
-        cfg.seed = 11;
-        if (serving) {
-            std::string err;
-            ASSERT_TRUE(
-                parseArrivalSpec("burst:1e6,2", cfg.arrival, err));
-        }
+    // System's one executor at System level: replaying a whole
+    // staged epoch (stepEpochPrivate() + replayEpochShared(), as the
+    // rack pool does) must be bit-identical to replaying each
+    // item as soon as it is staged (stepEpoch()) -- same return
+    // values, same epoch count, same final stats.  Covered for a
+    // version-heavy Toleo node and an open-loop serving node (the
+    // staged request boundaries are the subtle part), at the default
+    // epoch size and at a small one whose epochs span several
+    // batches and whose warmup ends mid-epoch, so Reset, Sample and
+    // Boundary items land inside a staged epoch and the deferred
+    // queues outgrow one batch.
+    struct Case
+    {
+        std::uint64_t epochRefs;
+        std::uint64_t warmup;
+        std::uint64_t measure;
+    };
+    for (const Case cs : {Case{16384, 2000, 6000},
+                          Case{1000, 1700, 6000}}) {
+        for (const bool serving : {false, true}) {
+            SystemConfig cfg =
+                makeScaledConfig("memcached", EngineKind::Toleo, 2);
+            cfg.seed = 11;
+            cfg.epochRefs = cs.epochRefs;
+            if (serving) {
+                std::string err;
+                ASSERT_TRUE(
+                    parseArrivalSpec("burst:1e6,2", cfg.arrival, err));
+            }
+            const std::string label =
+                "epochRefs=" + std::to_string(cs.epochRefs) +
+                " serving=" + std::to_string(serving);
 
-        System mono(cfg);
-        mono.beginRun(2000, 6000);
-        System staged(cfg);
-        staged.beginRun(2000, 6000);
+            System interleaved(cfg);
+            interleaved.beginRun(cs.warmup, cs.measure);
+            cfg.phaseTimers = true;
+            System deferred(cfg);
+            deferred.beginRun(cs.warmup, cs.measure);
 
-        bool moreMono = true, moreStaged = true;
-        while (moreMono) {
-            moreMono = mono.stepEpoch();
-            moreStaged = staged.stepEpochPrivate();
-            staged.replayEpochShared();
-            ASSERT_EQ(moreMono, moreStaged) << "serving=" << serving;
-            ASSERT_EQ(mono.epochsCompleted(),
-                      staged.epochsCompleted());
+            bool more = true;
+            while (more) {
+                more = interleaved.stepEpoch();
+                ASSERT_EQ(more, deferred.stepEpochPrivate()) << label;
+                deferred.replayEpochShared();
+                ASSERT_EQ(interleaved.epochsCompleted(),
+                          deferred.epochsCompleted())
+                    << label;
+            }
+            EXPECT_EQ(dump(interleaved.finishRun()),
+                      dump(deferred.finishRun()))
+                << label;
+            // Staging counts as private host time, replay as shared.
+            EXPECT_GT(deferred.phaseTimes().privateNs, 0.0) << label;
+            EXPECT_GT(deferred.phaseTimes().sharedNs, 0.0) << label;
         }
-        EXPECT_EQ(dump(mono.finishRun()), dump(staged.finishRun()))
-            << "serving=" << serving;
     }
 }
 
@@ -250,6 +273,29 @@ TEST(Rack, RackThreadsComposeWithServing)
     EXPECT_EQ(
         serial,
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2));
+}
+
+TEST(Rack, RackThreadsServingSmallEpochsAreBitIdentical)
+{
+    // Serving racks whose small epochs span several batches, with a
+    // warmup ending mid-epoch: every rackThreads value > 1 replays
+    // whole staged epochs (growing the per-core queues) while 1
+    // replays batch by batch, and the records must not differ.
+    SystemConfig base =
+        makeScaledConfig("memcached", EngineKind::Toleo, 2);
+    base.seed = 5;
+    base.epochRefs = 1000;
+    std::string err;
+    ASSERT_TRUE(parseArrivalSpec("poisson:2e6", base.arrival, err));
+    RackConfig rc = makeRackConfig(4, base);
+    rc.warmupRefs = 1700;
+    rc.measureRefs = 5000;
+    const std::string serial = rackStatsToJson(runRack(rc)).dump(2);
+    for (const unsigned threads : {2u, 4u}) {
+        rc.rackThreads = threads;
+        EXPECT_EQ(serial, rackStatsToJson(runRack(rc)).dump(2))
+            << "rackThreads=" << threads;
+    }
 }
 
 TEST(Rack, OneNodeRackWithRackThreadsKeepsSoloInvariant)

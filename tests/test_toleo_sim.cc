@@ -303,6 +303,49 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
     EXPECT_TRUE(fails("--workloads bsw --engines Toleo --cores 2"
                       " --rack 4294967298 --warmup 500"
                       " --measure 2000"));
+
+    // Values past 2^64 - 1 must fail by name, not run with the
+    // clamped 2^64 - 1; so must a seed past 2^53, which the JSON
+    // record (numbers are doubles) would show as a different seed.
+    const auto failsNaming = [](const std::string &args,
+                                const std::string &flag) {
+        const std::string err =
+            ::testing::TempDir() + "/toleo_sim_bad_args.txt";
+        const std::string cmd = std::string("\"") + TOLEO_SIM_BIN +
+                                "\" " + args + " --quiet > /dev/null"
+                                " 2> \"" + err + "\"";
+        const bool failed = std::system(cmd.c_str()) != 0;
+        std::ifstream in(err);
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::remove(err.c_str());
+        return failed && text.str().find(flag) != std::string::npos;
+    };
+    const std::string cell =
+        "--workloads bsw --engines Toleo --cores 2";
+    EXPECT_TRUE(failsNaming(cell + " --seed 99999999999999999999",
+                            "--seed"));
+    EXPECT_TRUE(failsNaming(cell + " --warmup 99999999999999999999",
+                            "--warmup"));
+    EXPECT_TRUE(failsNaming(cell + " --measure 99999999999999999999",
+                            "--measure"));
+    EXPECT_TRUE(failsNaming(cell + " --seed 9007199254740993",
+                            "--seed"));
+
+    // 2^53 itself is exact: it runs and is recorded unchanged.
+    const std::string seeded =
+        ::testing::TempDir() + "/toleo_sim_max_seed.json";
+    const std::string max_seed =
+        std::string("\"") + TOLEO_SIM_BIN + "\" " + cell +
+        " --seed 9007199254740992 --warmup 100 --measure 200 --quiet"
+        " --out \"" + seeded + "\"";
+    ASSERT_EQ(std::system(max_seed.c_str()), 0) << max_seed;
+    std::ifstream seeded_in(seeded);
+    std::ostringstream seeded_text;
+    seeded_text << seeded_in.rdbuf();
+    std::remove(seeded.c_str());
+    EXPECT_NE(seeded_text.str().find("\"seed\": 9007199254740992"),
+              std::string::npos);
 }
 
 TEST(ToleoSimBinary, OpenLoopServingCell)
@@ -465,8 +508,17 @@ TEST(ToleoSimBinary, BenchModeEmitsPerfRecord)
     ASSERT_NE(cells, nullptr);
     ASSERT_EQ(cells->size(), 4u);
     for (std::size_t i = 0; i < cells->size(); ++i) {
-        EXPECT_GT(cells->at(i).get("wallSeconds")->asDouble(), 0.0);
-        EXPECT_GT(cells->at(i).get("refsPerSec")->asDouble(), 0.0);
+        const Json &c = cells->at(i);
+        EXPECT_GT(c.get("wallSeconds")->asDouble(), 0.0);
+        EXPECT_GT(c.get("refsPerSec")->asDouble(), 0.0);
+        // Staging counts as private time and replay as shared time;
+        // a Toleo cell's LLC misses always reach the replay.
+        if (c.get("engine")->asString() == "Toleo") {
+            const Json *ph = c.get("phases");
+            ASSERT_NE(ph, nullptr);
+            EXPECT_GT(ph->get("privateSeconds")->asDouble(), 0.0);
+            EXPECT_GT(ph->get("sharedSeconds")->asDouble(), 0.0);
+        }
     }
 
     // A like-for-like second run reports the before/after delta.

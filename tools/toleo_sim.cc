@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -86,7 +87,7 @@ usage(const char *argv0)
         "  --allow-oversubscribe\n"
         "                    run anyway when an explicit --jobs x\n"
         "                    --rack-threads oversubscribes the host\n"
-        "  --seed N          simulation seed (default: 42)\n"
+        "  --seed N          simulation seed, at most 2^53 (default: 42)\n"
         "  --rack N          simulate every cell as an N-node rack\n"
         "                    sharing one Toleo device (node i seeds\n"
         "                    with seed+i); emits one RackStats record\n"
@@ -149,14 +150,24 @@ std::uint64_t
 parseUint(const char *flag, const char *text)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
     // strtoull silently wraps "-1" to a huge value; reject it here.
     if (end == text || *end != '\0' ||
         std::strchr(text, '-') != nullptr)
         fatal("%s: expected a non-negative integer, got '%s'", flag,
               text);
+    // ... and clamps an out-of-range value to 2^64 - 1.
+    if (errno == ERANGE)
+        fatal("%s: %s exceeds the maximum of %llu", flag, text,
+              std::numeric_limits<unsigned long long>::max());
     return v;
 }
+
+/** The largest seed a JSON record holds exactly: Json keeps numbers
+ *  as doubles, so a larger seed would be recorded as a different
+ *  one. */
+constexpr std::uint64_t maxSeed = std::uint64_t{1} << 53;
 
 /** parseUint for counts held in an unsigned: values that would wrap
  *  when narrowed are rejected by name instead. */
@@ -231,7 +242,12 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--allow-oversubscribe")) {
             opts.allowOversubscribe = true;
         } else if (!std::strcmp(arg, "--seed")) {
-            opts.sweep.seed = parseUint(arg, nextArg(argc, argv, i));
+            const char *text = nextArg(argc, argv, i);
+            opts.sweep.seed = parseUint(arg, text);
+            if (opts.sweep.seed > maxSeed)
+                fatal("--seed: %s exceeds 2^53 = %llu, the largest "
+                      "seed the JSON record holds exactly",
+                      text, static_cast<unsigned long long>(maxSeed));
         } else if (!std::strcmp(arg, "--rack")) {
             opts.sweep.rackNodes =
                 parseCount(arg, nextArg(argc, argv, i));
