@@ -18,7 +18,7 @@ SimStats
 runWith(const std::string &wl, unsigned tlb_entries,
         std::uint64_t overflow_bytes)
 {
-    SystemConfig cfg = benchConfig(wl, EngineKind::Toleo, 8);
+    SystemConfig cfg = makeScaledConfig(wl, EngineKind::Toleo, 8);
     cfg.toleo.stealth.tlbEntries = tlb_entries;
     cfg.toleo.stealth.overflowBytes = overflow_bytes;
     System sys(cfg);

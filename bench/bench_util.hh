@@ -22,38 +22,15 @@
 
 namespace toleo {
 
-/** The common experiment window; maps onto SweepOptions. */
-struct BenchWindow
-{
-    std::uint64_t warmupRefs = 30000;
-    std::uint64_t measureRefs = 60000;
-    unsigned cores = 8;
-    std::uint64_t seed = 42;
-
-    SweepOptions sweepOptions() const
-    {
-        SweepOptions opts;
-        opts.cores = cores;
-        opts.warmupRefs = warmupRefs;
-        opts.measureRefs = measureRefs;
-        opts.seed = seed;
-        return opts;
-    }
-};
-
-inline SystemConfig
-benchConfig(const std::string &workload, EngineKind kind,
-            unsigned cores)
-{
-    return makeScaledConfig(workload, kind, cores);
-}
-
-/** Run one cell with the shared sweep API (see sim/sweep.hh). */
+/**
+ * Run one cell with the shared sweep API (see sim/sweep.hh).  The
+ * default SweepOptions are the common experiment window.
+ */
 inline SimStats
 runExperiment(const std::string &workload, EngineKind kind,
-              const BenchWindow &w = {})
+              const SweepOptions &opts = {})
 {
-    return runSweepCell({workload, kind}, w.sweepOptions());
+    return runSweepCell({workload, kind}, opts);
 }
 
 inline void

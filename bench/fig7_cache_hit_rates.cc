@@ -20,10 +20,8 @@ main()
                 "MACCache");
 
     double sum_s = 0, sum_m = 0;
-    BenchWindow w;
-    w.measureRefs = 60000;
     for (const auto &name : paperWorkloads()) {
-        const auto st = runExperiment(name, EngineKind::Toleo, w);
+        const auto st = runExperiment(name, EngineKind::Toleo);
         std::printf("%-12s %13.1f%% %11.1f%%\n", name.c_str(),
                     st.stealthCacheHitRate * 100,
                     st.macCacheHitRate * 100);

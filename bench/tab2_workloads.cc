@@ -20,11 +20,9 @@ main()
     std::printf("%-12s %-14s %10s %12s %12s\n", "bench", "suite",
                 "RSS(paper)", "MPKI(paper)", "MPKI(sim)");
 
-    BenchWindow w;
-    w.measureRefs = 60000;
     for (const auto &name : paperWorkloads()) {
         const auto info = workloadInfo(name);
-        const auto st = runExperiment(name, EngineKind::NoProtect, w);
+        const auto st = runExperiment(name, EngineKind::NoProtect);
         std::printf("%-12s %-14s %8.2fGB %12.2f %12.2f\n",
                     name.c_str(), info.suite.c_str(),
                     static_cast<double>(info.paperRssBytes) / GiB,

@@ -6,17 +6,17 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/intra_pool.hh"
+#include "sim/worker_pool.hh"
 #include "toleo/ide_channel.hh"
 
 namespace toleo {
 
 /**
  * Node-private half of one rack epoch step: generator draws, L1/L2,
- * footprint, shared-event and serving-boundary staging.  This is the body the rack
- * pool runs for all live nodes concurrently, and the phase-safety
- * walk root that proves it never touches the shared device, the
- * arbiter, or any other node's state.
+ * footprint, shared-event and serving-boundary staging.  This is the
+ * body the rack's WorkerPool runs for all live nodes concurrently, and
+ * the phase-safety walk root that proves it never touches the shared
+ * device, the arbiter, or any other node's state.
  */
 // toleo: phase(private)
 bool
@@ -124,17 +124,18 @@ runRack(const RackConfig &cfg)
     for (unsigned i = 0; i < n; ++i)
         systems[i]->beginRun(cfg.warmupRefs, cfg.measureRefs);
 
-    // Node pool for the private epoch halves.  rackThreads == 1 (the
-    // default) has no concurrency to gain from deferring the replay,
-    // so each node steps with stepEpoch() below, which replays every
-    // batch as soon as it is staged and so keeps its event queues one
-    // batch deep.  Both paths run System's one stage/replay
-    // executor, so the record is the same either way.
+    // WorkerPool for the private epoch halves, reused by every
+    // epoch.  rackThreads == 1 (the default) has no concurrency to
+    // gain from deferring the replay, and builds no pool: each node
+    // steps with stepEpoch() below, which replays every batch as
+    // soon as it is staged and so keeps its event queues one batch
+    // deep.  Both paths run System's one stage/replay executor, so
+    // the record is the same either way.
     const unsigned rackThreads =
         std::min(std::max(1u, cfg.rackThreads), n);
-    std::unique_ptr<IntraPool> rackPool;
+    std::unique_ptr<WorkerPool> rackPool;
     if (rackThreads > 1)
-        rackPool = std::make_unique<IntraPool>(rackThreads);
+        rackPool = std::make_unique<WorkerPool>(rackThreads);
 
     // Plain byte flags, not std::vector<bool>: the pool writes
     // stepped[] from different threads, and vector<bool>'s packed

@@ -68,7 +68,7 @@ struct RackConfig
      * Worker threads for the node-private half of each rack epoch
      * (`--rack-threads`).  Each epoch splits per node into a private
      * sub-phase (generator draws, L1/L2, staging -- no shared-device
-     * access; System::stepEpochPrivate) that the pool runs for all
+     * access; System::stepEpochPrivate) that a WorkerPool runs for all
      * live nodes concurrently, and a shared sub-phase (device/arbiter
      * replay; System::replayEpochShared) that always runs serially in
      * strict node order.  1 (the default) steps each node with

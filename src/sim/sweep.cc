@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.hh"
+#include "sim/worker_pool.hh"
 #include "workload/trace_file.hh"
 
 namespace toleo {
@@ -21,7 +20,6 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts,
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     cfg.seed = opts.seed;
     cfg.trace = opts.trace;
-    cfg.tracePath = opts.tracePath;
     cfg.recordTracePath = opts.recordTracePath;
     cfg.arrival = opts.arrival;
     cfg.phaseTimers = phases != nullptr;
@@ -47,85 +45,37 @@ makeSweepGrid(const std::vector<std::string> &workloads,
 namespace {
 
 /**
- * Worker-pool core shared by runSweep and runRackSweep: run
- * work(i) for i in [0, n) on up to @p jobsOpt threads.  An exception
- * anywhere inside a cell must not escape a worker thread (that would
- * std::terminate the whole sweep with no diagnostics): the first one
- * is captured, no new cells are handed out, and it is rethrown once
- * every worker has joined.  onDone(i, completed) runs under a lock
- * after each successful cell, so progress callbacks need not be
+ * Run work(i) for every cell index i in [0, n) on up to @p jobs
+ * threads of a WorkerPool.  Once one cell throws, no new cell starts
+ * (in-flight cells finish) and the pool rethrows the first exception
+ * after its barrier.  onDone(i, completed) runs under a lock after
+ * each successful cell, so progress callbacks need not be
  * thread-safe.
  */
 template <typename Work, typename Done>
 void
-runCellPool(std::size_t n, unsigned jobsOpt, const Work &work,
-            const Done &onDone)
+runCells(std::size_t n, unsigned jobs, const Work &work,
+         const Done &onDone)
 {
     if (n == 0)
         return;
-    const unsigned jobs =
-        std::max(1u, std::min<unsigned>(jobsOpt, n));
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
     std::mutex progressMutex;
-    std::exception_ptr firstError;
-
-    auto worker = [&] {
-        for (;;) {
-            if (failed.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n)
-                return;
-            try {
-                work(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
-                return;
-            }
-            const std::size_t d = done.fetch_add(1) + 1;
-            {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                onDone(i, d);
-            }
+    std::size_t done = 0;
+    WorkerPool pool(static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min<std::size_t>(jobs, n))));
+    pool.run(n, [&](std::size_t i) {
+        if (failed.load(std::memory_order_relaxed))
+            return;
+        try {
+            work(i);
+        } catch (...) {
+            failed.store(true, std::memory_order_relaxed);
+            throw;
         }
-    };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned j = 0; j < jobs; ++j)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
-/**
- * Honor the load-once contract (see SweepOptions::trace) for every
- * caller, not just the toleo_sim CLI: open and validate a
- * path-specified trace once so cells share one read-only instance
- * instead of re-decoding the file per cell.  Returns the effective
- * options, using @p shared as backing storage when a copy is needed.
- */
-const SweepOptions &
-withPreloadedTrace(const SweepOptions &opts, SweepOptions &shared)
-{
-    if (opts.tracePath.empty() || opts.trace)
-        return opts;
-    shared = opts;
-    shared.trace = TraceFile::open(opts.tracePath);
-    return shared;
+        std::lock_guard<std::mutex> lock(progressMutex);
+        onDone(i, ++done);
+    });
 }
 
 } // namespace
@@ -146,16 +96,13 @@ runSweep(const std::vector<SweepCell> &cells,
             "recordTracePath captures a single cell; got " +
             std::to_string(cells.size()) + " cells");
 
-    SweepOptions shared;
-    const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
-
     std::vector<SimStats> results(cells.size());
     if (cellSeconds)
         cellSeconds->assign(cells.size(), 0.0);
     if (cellPhases)
         cellPhases->assign(cells.size(), PhaseTimes{});
 
-    runCellPool(
+    runCells(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
             // Cell wall-clock is perf telemetry (--bench), never an
@@ -163,8 +110,8 @@ runSweep(const std::vector<SweepCell> &cells,
             // toleo-lint: allow(nondeterminism)
             const auto t0 = std::chrono::steady_clock::now();
             results[i] =
-                cellFn ? cellFn(cells[i], effOpts)
-                       : runSweepCell(cells[i], effOpts,
+                cellFn ? cellFn(cells[i], opts)
+                       : runSweepCell(cells[i], opts,
                                       cellPhases ? &(*cellPhases)[i]
                                                  : nullptr);
             if (cellSeconds) {
@@ -189,7 +136,6 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     base.seed = opts.seed;
     base.trace = opts.trace;
-    base.tracePath = opts.tracePath;
     base.arrival = opts.arrival;
     RackConfig rc = makeRackConfig(opts.rackNodes, base);
     rc.deviceServiceGBps = opts.rackServiceGBps;
@@ -202,8 +148,7 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
 std::vector<RackStats>
 runRackSweep(const std::vector<SweepCell> &cells,
              const SweepOptions &opts,
-             const RackSweepProgressFn &progress,
-             std::vector<double> *cellSeconds)
+             const RackSweepProgressFn &progress)
 {
     if (opts.rackNodes == 0)
         throw std::invalid_argument(
@@ -214,27 +159,11 @@ runRackSweep(const std::vector<SweepCell> &cells,
         throw TraceError(
             "recordTracePath is not supported in rack mode");
 
-    SweepOptions shared;
-    const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
-
     std::vector<RackStats> results(cells.size());
-    if (cellSeconds)
-        cellSeconds->assign(cells.size(), 0.0);
-
-    runCellPool(
+    runCells(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
-            // Perf telemetry only, as in runSweep above.
-            // toleo-lint: allow(nondeterminism)
-            const auto t0 = std::chrono::steady_clock::now();
-            results[i] = runRackSweepCell(cells[i], effOpts);
-            if (cellSeconds) {
-                (*cellSeconds)[i] =
-                    std::chrono::duration<double>(
-                        // toleo-lint: allow(nondeterminism)
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            }
+            results[i] = runRackSweepCell(cells[i], opts);
         },
         [&](std::size_t i, std::size_t d) {
             if (progress)

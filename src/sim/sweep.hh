@@ -6,7 +6,8 @@
  * grid of cells, where each cell builds one self-contained
  * toleo::System and runs it for a warmup + measurement window.  Cells
  * share no mutable state, so the grid is embarrassingly parallel:
- * runSweep() fans cells out to a pool of worker threads and returns
+ * runSweep() runs the cells on the WorkerPool (sim/worker_pool.hh),
+ * the same pool the rack tier uses for its node halves, and returns
  * results in deterministic row-major (workload-major) order
  * regardless of completion order.
  */
@@ -40,12 +41,10 @@ struct SweepOptions
     std::uint64_t seed = 42;
     /** Worker threads; cells run serially when 1. */
     unsigned jobs = 1;
-    /** Replay cells from this trace file instead of synthesizing. */
-    std::string tracePath;
     /**
-     * Already-loaded trace to replay; takes precedence over
-     * tracePath.  Cells share the instance read-only, so a sweep
-     * validates and decodes the file once, not once per cell.
+     * Replay cells from this loaded trace (TraceFile::open) instead
+     * of synthesizing.  Cells share the instance read-only, so a
+     * sweep validates and decodes the file once, not once per cell.
      */
     std::shared_ptr<const TraceFile> trace;
     /** Record the (single) cell's generator streams to this file. */
@@ -59,7 +58,7 @@ struct SweepOptions
     /** Shared-device service bandwidth, GB/s; 0 = auto (rack.hh). */
     double rackServiceGBps = 0.0;
     /**
-     * Rack mode only: worker threads for the node-private epoch
+     * Rack mode only: WorkerPool threads for the node-private epoch
      * halves inside each rack cell (RackConfig::rackThreads).
      * Composes multiplicatively with jobs: a rack sweep can run up
      * to jobs x rackThreads threads at once, and the CLI budgets
@@ -101,7 +100,7 @@ std::vector<SweepCell> makeSweepGrid(
     const std::vector<EngineKind> &engines);
 
 /**
- * Run every cell, using opts.jobs worker threads.
+ * Run every cell on a WorkerPool of opts.jobs threads.
  *
  * A cell that throws does not tear down the process: the first
  * exception is captured, the remaining queued cells are abandoned,
@@ -135,14 +134,13 @@ using RackSweepProgressFn = std::function<void(
 /**
  * Rack-mode grid runner: every cell becomes an opts.rackNodes-node
  * rack simulation (runRack).  Same worker-pool, ordering, and
- * error-surfacing contract as runSweep; cells share a preloaded
+ * error-surfacing contract as runSweep; cells share the loaded
  * trace the same way.  Trace *recording* is rejected (every node
  * would clobber one capture path).
  */
 std::vector<RackStats> runRackSweep(
     const std::vector<SweepCell> &cells, const SweepOptions &opts,
-    const RackSweepProgressFn &progress = {},
-    std::vector<double> *cellSeconds = nullptr);
+    const RackSweepProgressFn &progress = {});
 
 /**
  * Parse an engine name as printed by engineKindName().

@@ -97,24 +97,20 @@ System::System(const SystemConfig &cfg)
         break;
     }
 
-    const bool replaying = cfg.trace || !cfg.tracePath.empty();
     // TraceError, not fatal(): every trace defect throws (see
     // trace_file.hh) so library callers can catch it.
-    if (replaying && !cfg.recordTracePath.empty())
+    if (cfg.trace && !cfg.recordTracePath.empty())
         throw TraceError(
             "a System cannot replay and record a trace at once");
-    if (replaying) {
-        trace_ = cfg.trace ? cfg.trace : TraceFile::open(cfg.tracePath);
-        if (trace_->workload() != cfg.workload) {
-            warn("trace '%s' was captured from workload '%s' but is "
+    if (cfg.trace) {
+        if (cfg.trace->workload() != cfg.workload) {
+            warn("trace was captured from workload '%s' but is "
                  "replayed under '%s' metadata",
-                 cfg.tracePath.empty() ? "<preloaded>"
-                                       : cfg.tracePath.c_str(),
-                 trace_->workload().c_str(), cfg.workload.c_str());
+                 cfg.trace->workload().c_str(), cfg.workload.c_str());
         }
         for (unsigned c = 0; c < cfg.numCores; ++c)
             gens_.push_back(
-                std::make_unique<TraceReplayGen>(winfo_, trace_, c));
+                std::make_unique<TraceReplayGen>(winfo_, cfg.trace, c));
     } else {
         for (unsigned c = 0; c < cfg.numCores; ++c)
             gens_.push_back(makeWorkload(cfg.workload, c, cfg.seed));

@@ -87,16 +87,11 @@ struct SystemConfig
     /** Timeline samples to keep (Figure 12). */
     unsigned timelinePoints = 64;
     /**
-     * Replay per-core reference streams from this trace file (see
+     * Replay per-core reference streams from this loaded trace (see
      * workload/trace_file.hh) instead of synthesizing them; the
      * workload name still selects the Table-2 metadata (footprint,
-     * MLP) the timing model uses.
-     */
-    std::string tracePath;
-    /**
-     * Already-loaded trace to replay; takes precedence over
-     * tracePath so sweep drivers can validate/decode once and share
-     * the read-only instance across cells.
+     * MLP) the timing model uses.  Sweep drivers open the file once
+     * and share the read-only instance across cells.
      */
     std::shared_ptr<const TraceFile> trace;
     /** Record every core's generated stream to this trace file. */
@@ -380,8 +375,6 @@ class System
     std::vector<std::unique_ptr<TraceGen>> gens_;
     WorkloadInfo winfo_;
 
-    /** Backing trace when cfg_.tracePath is set (shared, read-only). */
-    std::shared_ptr<const TraceFile> trace_;
     /** Capture sink when cfg_.recordTracePath is set; flushed by run(). */
     std::unique_ptr<TraceWriter> traceWriter_;
 

@@ -1,20 +1,20 @@
-#include "sim/intra_pool.hh"
+#include "sim/worker_pool.hh"
 
 #include "common/logging.hh"
 
 namespace toleo {
 
-IntraPool::IntraPool(unsigned threads)
+WorkerPool::WorkerPool(unsigned threads)
     : workers_(threads > 0 ? threads - 1 : 0)
 {
     if (threads == 0)
-        panic("IntraPool: thread count must be >= 1");
+        panic("WorkerPool: thread count must be >= 1");
     pool_.reserve(workers_);
     for (unsigned s = 0; s < workers_; ++s)
-        pool_.emplace_back([this, s] { workerLoop(s + 1); });
+        pool_.emplace_back([this] { workerLoop(); });
 }
 
-IntraPool::~IntraPool()
+WorkerPool::~WorkerPool()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -26,30 +26,33 @@ IntraPool::~IntraPool()
 }
 
 void
-IntraPool::runSlice(unsigned slot,
-                    const std::function<void(unsigned)> &fn, unsigned n)
+WorkerPool::drain(const std::function<void(std::size_t)> &fn,
+                  std::size_t n)
 {
-    const unsigned stride = workers_ + 1;
-    try {
-        for (unsigned i = slot; i < n; i += stride)
+    // Relaxed is enough: the counter only hands out distinct indices.
+    // The bodies' writes reach the caller through mutex_ (pending_
+    // below and in run()).
+    for (;;) {
+        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            return;
+        try {
             fn(i);
-    } catch (...) {
-        // First error wins; the remaining indices of this stripe are
-        // abandoned, the other stripes complete, and the caller
-        // rethrows after the barrier.
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!firstError_)
-            firstError_ = std::current_exception();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!firstError_)
+                firstError_ = std::current_exception();
+        }
     }
 }
 
 void
-IntraPool::workerLoop(unsigned slot)
+WorkerPool::workerLoop()
 {
     std::uint64_t seen = 0;
     for (;;) {
-        const std::function<void(unsigned)> *fn = nullptr;
-        unsigned n = 0;
+        const std::function<void(std::size_t)> *fn = nullptr;
+        std::size_t n = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             start_.wait(lock,
@@ -60,7 +63,7 @@ IntraPool::workerLoop(unsigned slot)
             fn = task_;
             n = taskN_;
         }
-        runSlice(slot, *fn, n);
+        drain(*fn, n);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             --pending_;
@@ -70,12 +73,16 @@ IntraPool::workerLoop(unsigned slot)
 }
 
 void
-IntraPool::run(unsigned n, const std::function<void(unsigned)> &fn)
+WorkerPool::run(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
     if (n == 0)
         return;
+    // Every worker left the previous task before run() returned, so
+    // nothing else touches the counter here; the epoch_ bump below
+    // publishes the reset to them.
+    next_.store(0, std::memory_order_relaxed);
     if (workers_ == 0) {
-        runSlice(0, fn, n);
+        drain(fn, n);
     } else {
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -85,7 +92,7 @@ IntraPool::run(unsigned n, const std::function<void(unsigned)> &fn)
             ++epoch_;
         }
         start_.notify_all();
-        runSlice(0, fn, n);
+        drain(fn, n);
         std::unique_lock<std::mutex> lock(mutex_);
         done_.wait(lock, [&] { return pending_ == 0; });
         task_ = nullptr;

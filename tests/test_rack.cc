@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/intra_pool.hh"
+#include "sim/worker_pool.hh"
 #include "sim/rack.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -318,10 +318,10 @@ TEST(Rack, OneNodeRackWithRackThreadsKeepsSoloInvariant)
 
 TEST(Rack, WorkerExceptionsPropagateToTheCaller)
 {
-    // The rack node pool is an IntraPool: a throwing node body must
+    // The rack node pool is a WorkerPool: a throwing node body must
     // surface on the caller after the barrier (not terminate), and
     // the pool must stay usable for the next epoch.
-    IntraPool pool(4);
+    WorkerPool pool(4);
     std::atomic<unsigned> ran{0};
     try {
         pool.run(8, [&](unsigned i) {

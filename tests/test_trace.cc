@@ -183,7 +183,7 @@ TEST(TraceCapture, RecordedAndReplayedRunsMatchLiveByteForByte)
     // live generator's stats byte-for-byte -- the acceptance
     // contract of the trace subsystem.
     SweepOptions rep = tinyWindow();
-    rep.tracePath = path;
+    rep.trace = trace;
     const std::string replayed =
         statsToJson(runSweepCell(cell, rep)).dump(2);
     EXPECT_EQ(live, replayed);
@@ -202,7 +202,7 @@ TEST(TraceCapture, ReplayUnderADifferentEngineStillRuns)
     // cell relies on this), with a shorter and a longer window than
     // the capture (the latter wraps).
     SweepOptions rep = tinyWindow();
-    rep.tracePath = path;
+    rep.trace = TraceFile::open(path);
     rep.measureRefs = 500;
     EXPECT_GT(runSweepCell({"bsw", EngineKind::Merkle}, rep).ipc, 0.0);
     rep.measureRefs = 6000;
@@ -221,11 +221,17 @@ TEST(TraceErrors, OversizedWorkloadNameIsRejected)
 
 TEST(TraceCapture, ReplayAndRecordAtOnceThrows)
 {
+    const std::string path = tempPath("trace_conflict_src.trc");
+    SweepOptions rec = tinyWindow();
+    rec.recordTracePath = path;
+    runSweepCell({"bsw", EngineKind::NoProtect}, rec);
+
     SweepOptions opts = tinyWindow();
-    opts.tracePath = "whatever.trc";
+    opts.trace = TraceFile::open(path);
     opts.recordTracePath = tempPath("trace_conflict.trc");
     EXPECT_THROW(runSweepCell({"bsw", EngineKind::Toleo}, opts),
                  TraceError);
+    std::remove(path.c_str());
 }
 
 TEST(TraceCapture, RecordingAMultiCellSweepThrows)
@@ -394,7 +400,7 @@ TEST(TraceFixture, CommittedFixtureLoadsAndReplays)
     EXPECT_GT(trace->recordCount(1), 0u);
 
     SweepOptions opts = tinyWindow();
-    opts.tracePath = TOLEO_TRACE_FIXTURE;
+    opts.trace = trace;
     const SimStats stats =
         runSweepCell({"bsw", EngineKind::Toleo}, opts);
     EXPECT_GT(stats.ipc, 0.0);

@@ -4,9 +4,9 @@
  *
  * The repo's load-bearing invariant -- bit-identical fixed-seed stats
  * under any --rack-threads / --jobs combination -- rests on a phase
- * discipline: the rack node pool (IntraPool) runs the nodes'
- * *private* epoch halves (System::stepEpochPrivate, which runs
- * System::stageItem over one epoch's plan) concurrently, so
+ * discipline: the rack's WorkerPool runs the nodes' *private* epoch
+ * halves (System::stepEpochPrivate, which runs System::stageItem over
+ * one epoch's plan) concurrently, so
  * everything reachable from a private-phase entry point must touch
  * only core-indexed or instance-local state; all genuinely shared
  * structures (the shared Toleo device above all) are mutated only in

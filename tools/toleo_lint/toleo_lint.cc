@@ -28,8 +28,7 @@
  *   struct-init         scalar members of Config/Options/Stats
  *                       structs must carry in-class initializers
  *   raw-thread          std::thread/std::async/pthread_create outside
- *                       the sanctioned pool implementations
- *                       (sim/intra_pool, sim/sweep.cc); new
+ *                       the one sanctioned pool (sim/worker_pool); new
  *                       parallelism must preserve deterministic replay
  *   phase-safety        annotation-driven call-graph analysis: code
  *                       reachable from a // toleo: phase(private)
@@ -504,18 +503,17 @@ void
 ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
 {
     // Threading is only compatible with the determinism contract
-    // here because every existing pool preserves the replay
-    // structure: runCellPool (sim/sweep.cc) runs cells that share no
-    // mutable state, and IntraPool (sim/intra_pool) runs rack nodes'
-    // private epoch halves whose work assignment is a pure function
-    // of the index.  A raw std::thread anywhere else has no such argument
-    // attached, so it is banned: route new parallelism through one
-    // of the pools (or extend this sanctioned list with the
-    // accompanying reasoning).
+    // here because the one pool preserves the replay structure:
+    // WorkerPool (sim/worker_pool) runs bodies that each touch only
+    // their own index's state -- sweep cells that share no mutable
+    // state, and rack nodes' private epoch halves -- so which thread
+    // claims which index cannot reach the results.  A raw std::thread
+    // anywhere else has no such argument attached, so it is banned:
+    // route new parallelism through WorkerPool (or extend this
+    // sanctioned list with the accompanying reasoning).
     static const std::vector<std::string> sanctioned = {
-        "src/sim/intra_pool.hh",
-        "src/sim/intra_pool.cc",
-        "src/sim/sweep.cc",
+        "src/sim/worker_pool.hh",
+        "src/sim/worker_pool.cc",
     };
     // hardware_concurrency() is a capacity query, not a spawn.
     static const std::regex threadRe(
@@ -531,9 +529,8 @@ ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
                 std::regex_search(sf.code[i], spawnRe))
                 lint.emit(sf, i + 1, "raw-thread",
                           "raw thread spawn outside the sanctioned "
-                          "pools: new parallelism must go through "
-                          "IntraPool (rack node private phases) or "
-                          "runCellPool (independent cells) so the "
+                          "pool: new parallelism must go through "
+                          "WorkerPool (sim/worker_pool) so the "
                           "deterministic-replay structure survives");
         }
     }

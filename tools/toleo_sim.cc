@@ -45,6 +45,7 @@ struct CliOptions
     SweepOptions sweep;
     std::string format = "json";
     std::string outPath; ///< empty = stdout (bench: BENCH_sweep.json)
+    std::string tracePath; ///< --trace FILE, opened once into sweep.trace
     bool progress = true;
     /** Perf-tracking mode: full grid, BENCH_sweep.json output. */
     bool bench = false;
@@ -291,7 +292,7 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--out")) {
             opts.outPath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--trace")) {
-            opts.sweep.tracePath = nextArg(argc, argv, i);
+            opts.tracePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--record-trace")) {
             opts.sweep.recordTracePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--quiet")) {
@@ -673,7 +674,7 @@ main(int argc, char **argv)
         // The trajectory tracks synthetic-generator speed; a replay
         // (or recording) run would write a bogus perf point and a
         // meaningless speedupVsPrevious against it.
-        if (!opts.sweep.tracePath.empty() ||
+        if (!opts.tracePath.empty() ||
             !opts.sweep.recordTracePath.empty())
             fatal("--bench measures the synthetic generators; "
                   "--trace/--record-trace are not supported in "
@@ -750,7 +751,7 @@ main(int argc, char **argv)
     const auto cells = makeSweepGrid(workloads, engines);
 
     if (!opts.sweep.recordTracePath.empty()) {
-        if (!opts.sweep.tracePath.empty())
+        if (!opts.tracePath.empty())
             fatal("--record-trace cannot be combined with --trace");
         // Concurrent cells would clobber one file; with a fixed seed
         // every cell of a workload generates the same stream anyway.
@@ -770,13 +771,13 @@ main(int argc, char **argv)
             fatal("cannot open trace file '%s' for writing",
                   opts.sweep.recordTracePath.c_str());
     }
-    if (!opts.sweep.tracePath.empty()) {
+    if (!opts.tracePath.empty()) {
         // Open (and fully validate) the trace up front so a bad path
         // or corrupt file fails in milliseconds, not mid-sweep -- and
         // share the one read-only instance across every cell instead
         // of re-decoding the file per cell.
         try {
-            opts.sweep.trace = TraceFile::open(opts.sweep.tracePath);
+            opts.sweep.trace = TraceFile::open(opts.tracePath);
         } catch (const TraceError &e) {
             fatal("%s", e.what());
         }
@@ -791,7 +792,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "trace '%s': workload %s, %u streams, "
                          "%llu records\n",
-                         opts.sweep.tracePath.c_str(),
+                         opts.tracePath.c_str(),
                          opts.sweep.trace->workload().c_str(),
                          nstreams,
                          static_cast<unsigned long long>(records));
